@@ -87,7 +87,7 @@ fn parse_args() -> Args {
                      --out PATH        JSON output path (default BENCH_mapping.json)\n  \
                      --shard-workers N sharded-coordinator entry with N worker\n                    \
 processes (default 3; 0 disables; skipped when\n                    \
-the mc_shard binary is not built)\n  \
+the xbar binary is not built)\n  \
                      --quick           1/10th of the samples (smoke run)"
                 );
                 std::process::exit(0);
@@ -144,7 +144,7 @@ fn main() {
         "registry crosscheck: table2 experiment reproduces every success count (both streams)"
     );
     // Process-sharded coordinator throughput: same campaign through the
-    // mc_shard worker binary, merged stats asserted byte-identical to the
+    // xbar worker binary, merged stats asserted byte-identical to the
     // monolithic run. Tracks the fan-out overhead of the multi-host path.
     let sharded = if args.shard_workers == 0 {
         None

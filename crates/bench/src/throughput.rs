@@ -15,11 +15,9 @@ use std::time::Instant;
 use xbar_core::{
     reference, CrossbarMatrix, DefectSampler, FunctionMatrix, MatchEngine, SampleStream,
 };
+use xbar_exp::launch::{run_launch_with_report, HostSpec, LaunchConfig, LocalProc};
 use xbar_exp::sample_seed;
-use xbar_exp::shard::coordinator::{
-    render_stats_json, run_coordinator, run_monolithic, CoordinatorConfig, Worker,
-    DEFAULT_RETRY_BASE,
-};
+use xbar_exp::shard::coordinator::{render_stats_json, run_monolithic, MergedResult, Worker};
 use xbar_exp::shard::McConfig;
 use xbar_logic::bench_reg::find;
 
@@ -354,9 +352,9 @@ impl ShardedThroughput {
 ///
 /// # Panics
 ///
-/// Panics when the coordinator fails (e.g. the `mc_shard` worker binary
-/// is missing — build it with `cargo build --release -p xbar-exp --bins`)
-/// or when the two stats artifacts differ.
+/// Panics when the coordinator fails (e.g. the `xbar` worker binary is
+/// missing — build it with `cargo build --release -p xbar-exp --bin
+/// xbar`) or when the two stats artifacts differ.
 #[must_use]
 pub fn measure_sharded(
     circuits: &[String],
@@ -366,41 +364,40 @@ pub fn measure_sharded(
     shards: usize,
     worker: Worker,
 ) -> ShardedThroughput {
-    let coordinator_for = |samples: usize, tag: &str| CoordinatorConfig {
-        config: McConfig {
-            samples,
-            seed,
-            defect_rate,
-            stream: SampleStream::V1,
-            model: xbar_core::DefectModelSpec::default(),
-            circuits: circuits.to_vec(),
-        },
-        shards,
-        max_attempts: 3,
-        worker: worker.clone(),
-        work_dir: std::env::temp_dir().join(format!("mc-bench-{tag}-{}", std::process::id())),
-        extra_worker_args: Vec::new(),
-        keep_partials: false,
-        shard_timeout: None,
-        max_inflight: None,
-        resume: false,
-        retry_base: DEFAULT_RETRY_BASE,
+    let config_for = |samples: usize| McConfig {
+        samples,
+        seed,
+        defect_rate,
+        stream: SampleStream::V1,
+        model: xbar_core::DefectModelSpec::default(),
+        circuits: circuits.to_vec(),
+    };
+    // `xbar mc coordinate`'s runner: the one-host local fleet, one slot
+    // per core, partials under a scratch work dir removed afterwards.
+    let coordinate = |config: McConfig, tag: &str| -> MergedResult {
+        let slots = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        let mut cfg =
+            LaunchConfig::new(config, shards, vec![HostSpec::local(slots)], worker.clone());
+        cfg.work_dir = std::env::temp_dir().join(format!("mc-bench-{tag}-{}", std::process::id()));
+        let (merged, _) =
+            run_launch_with_report(&cfg, &LocalProc).expect("sharded coordinator run");
+        let _ = std::fs::remove_dir(&cfg.work_dir);
+        merged
     };
 
     // Fixed fan-out cost: one sample per shard, so the run is all spawn,
     // partial round-trip, and merge.
-    let overhead = coordinator_for(shards, "overhead");
     let t0 = Instant::now();
-    let _ = run_coordinator(&overhead).expect("overhead coordinator run");
+    let _ = coordinate(config_for(shards), "overhead");
     let spawn_overhead_secs = t0.elapsed().as_secs_f64();
 
     // Steady-state measurement at the full sample count.
-    let coordinator = coordinator_for(samples, "steady");
+    let config = config_for(samples);
     let t1 = Instant::now();
-    let sharded = run_coordinator(&coordinator).expect("sharded coordinator run");
+    let sharded = coordinate(config.clone(), "steady");
     let sharded_secs = t1.elapsed().as_secs_f64();
     let t2 = Instant::now();
-    let single = run_monolithic(&coordinator.config);
+    let single = run_monolithic(&config);
     let single_secs = t2.elapsed().as_secs_f64();
     assert_eq!(
         render_stats_json(&sharded),

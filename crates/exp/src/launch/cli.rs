@@ -1,65 +1,176 @@
-//! `xbar mc launch`: the multi-host CLI over the launch scheduler.
+//! `xbar mc launch`: the multi-host CLI over the campaign runner, plus
+//! the runner flags it shares with `xbar mc coordinate`.
 //!
 //! Parsing follows the `mc coordinate` conventions (usage problems print
 //! help to stderr and return exit code 2) and reuses the shared
-//! [`CampaignFlags`], so a launch describes its campaign with exactly the
-//! coordinator's vocabulary plus the fleet flags.
+//! [`CampaignFlags`] and [`RunnerFlags`], so a launch describes its
+//! campaign and its runner with exactly the coordinator's vocabulary plus
+//! the fleet flags.
 
-use super::pool::{parse_hosts, DEFAULT_QUARANTINE_AFTER};
+use super::pool::{parse_hosts, HostSpec, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 use super::transport::{Exec, FaultPlan, Faulty, LocalProc, Transport};
 use crate::experiment::{find_experiment, Params};
 use crate::experiments::table2::table2_artifact_from_accums;
 use crate::shard::coordinator::{
-    default_work_dir, default_worker, render_stats_json, render_timing_table, Worker,
-    DEFAULT_RETRY_BASE,
+    default_worker, render_stats_json, render_timing_table, MergedResult, Worker,
 };
 use crate::shard::{CampaignFlags, McConfig, CAMPAIGN_FLAGS_USAGE};
 use std::path::PathBuf;
 use std::time::Duration;
 
-struct LaunchArgs {
-    campaign: CampaignFlags,
-    shards: usize,
-    hosts: String,
-    max_attempts: usize,
-    shard_timeout: Option<Duration>,
-    hedge_after: Option<Duration>,
-    quarantine_after: usize,
-    probation: Duration,
-    resume: bool,
-    keep_partials: bool,
-    work_dir: Option<PathBuf>,
-    worker: Option<PathBuf>,
-    worker_args: Vec<String>,
-    out: PathBuf,
-    artifact: Option<PathBuf>,
-    exec_args: Vec<String>,
-    faults: Vec<FaultPlan>,
+/// Parses a seconds value (fractional ok) into a [`Duration`].
+pub(crate) fn parse_secs(flag: &str, text: &str) -> Result<Duration, String> {
+    let secs: f64 = text
+        .parse()
+        .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| format!("{flag}: {secs} is not a representable duration"))
 }
 
-impl Default for LaunchArgs {
+/// The runner flags `mc coordinate` and `mc launch` share, parsed in one
+/// place so the two front-ends cannot drift apart. Each field is the
+/// value of the flag it is named after (see [`RUNNER_FLAGS_USAGE`]).
+#[derive(Debug)]
+pub(crate) struct RunnerFlags {
+    pub(crate) shards: usize,
+    pub(crate) max_attempts: usize,
+    pub(crate) shard_timeout: Option<Duration>,
+    pub(crate) resume: bool,
+    pub(crate) keep_partials: bool,
+    pub(crate) out: PathBuf,
+    pub(crate) work_dir: Option<PathBuf>,
+    /// An xbar-compatible worker binary, run as `PATH mc shard ...`.
+    pub(crate) worker: Option<PathBuf>,
+    pub(crate) worker_args: Vec<String>,
+}
+
+impl Default for RunnerFlags {
     fn default() -> Self {
         Self {
-            campaign: CampaignFlags::default(),
             shards: 3,
-            hosts: String::new(),
             max_attempts: 3,
             shard_timeout: None,
-            hedge_after: None,
-            quarantine_after: DEFAULT_QUARANTINE_AFTER,
-            probation: super::pool::DEFAULT_PROBATION,
             resume: false,
             keep_partials: false,
+            out: PathBuf::from("MC_merged.json"),
             work_dir: None,
             worker: None,
             worker_args: Vec::new(),
-            out: PathBuf::from("MC_merged.json"),
-            artifact: None,
-            exec_args: Vec::new(),
-            faults: Vec::new(),
         }
     }
+}
+
+/// The usage lines for the flags [`RunnerFlags::consume`] accepts.
+pub(crate) const RUNNER_FLAGS_USAGE: &str =
+    "  --shards N         sample-range shards, one worker run each (default 3)\n  \
+--max-attempts N   attempts per shard before giving up (default 3)\n  \
+--shard-timeout S  kill a worker still running after S seconds and retry\n                     \
+(fractional ok; default: no watchdog, wait forever)\n  \
+--resume           reuse valid partials already in the run directory and\n                     \
+schedule only missing or corrupt shards\n  \
+--out PATH         merged stats artifact (default MC_merged.json)\n  \
+--work-dir PATH    parent of the per-campaign run directory (default\n                     \
+<temp>/xbar-mc; partials live in <work-dir>/run-seed<seed>-\n                     \
+n<samples>-k<shards>-<stream>[-<model>]; the work dir itself\n                     \
+is never removed, so --out may point inside it)\n  \
+--worker PATH      an xbar-compatible worker binary, run as\n                     \
+`PATH mc shard ...` (default: the xbar binary next to this one)\n  \
+--worker-arg ARG   extra argument appended to every worker invocation\n                     \
+(repeatable; used by fault-injection tests and CI)\n  \
+--keep-partials    keep partial files after the merge";
+
+impl RunnerFlags {
+    /// Tries to consume one runner flag (plus its value from `it`);
+    /// `Ok(false)` when `flag` is not a runner flag.
+    ///
+    /// # Errors
+    ///
+    /// Reports a missing or malformed value.
+    pub(crate) fn consume(
+        &mut self,
+        flag: &str,
+        it: &mut dyn Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        let num = |text: String| -> Result<usize, String> {
+            text.parse()
+                .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
+        };
+        match flag {
+            "--shards" => self.shards = num(value()?)?,
+            "--max-attempts" => self.max_attempts = num(value()?)?,
+            "--shard-timeout" => {
+                let timeout = parse_secs(flag, &value()?)?;
+                if timeout.is_zero() {
+                    return Err(format!("{flag} must be positive"));
+                }
+                self.shard_timeout = Some(timeout);
+            }
+            "--resume" => self.resume = true,
+            "--keep-partials" => self.keep_partials = true,
+            "--out" => self.out = PathBuf::from(value()?),
+            "--work-dir" => self.work_dir = Some(PathBuf::from(value()?)),
+            "--worker" => self.worker = Some(PathBuf::from(value()?)),
+            "--worker-arg" => self.worker_args.push(value()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The runner configuration for `config` over `hosts`, with these
+    /// flags applied on top of [`LaunchConfig::new`]'s defaults.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no `--worker` was given and no default worker binary
+    /// can be located.
+    pub(crate) fn launch_config(
+        &self,
+        config: McConfig,
+        hosts: Vec<HostSpec>,
+    ) -> Result<LaunchConfig, String> {
+        let worker = match &self.worker {
+            Some(path) => Worker::xbar(path.clone()),
+            None => default_worker()?,
+        };
+        let mut cfg = LaunchConfig::new(config, self.shards, hosts, worker);
+        cfg.max_attempts = self.max_attempts;
+        if let Some(work_dir) = &self.work_dir {
+            cfg.work_dir.clone_from(work_dir);
+        }
+        cfg.extra_worker_args.clone_from(&self.worker_args);
+        cfg.keep_partials = self.keep_partials;
+        cfg.shard_timeout = self.shard_timeout;
+        cfg.resume = self.resume;
+        Ok(cfg)
+    }
+
+    /// Prints the timing table and writes the merged stats artifact to
+    /// `--out`.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unwritable `--out`.
+    pub(crate) fn write_merged(&self, merged: &MergedResult) -> Result<(), String> {
+        print!("{}", render_timing_table(merged));
+        crate::atomic::write_atomic(&self.out, render_stats_json(merged).as_bytes())
+            .map_err(|e| format!("cannot write {}: {e}", self.out.display()))?;
+        println!("wrote {}", self.out.display());
+        Ok(())
+    }
+}
+
+struct LaunchArgs {
+    campaign: CampaignFlags,
+    runner: RunnerFlags,
+    hosts: String,
+    hedge_after: Option<Duration>,
+    quarantine_after: usize,
+    probation: Duration,
+    artifact: Option<PathBuf>,
+    exec_args: Vec<String>,
+    faults: Vec<FaultPlan>,
 }
 
 fn launch_usage() -> String {
@@ -68,30 +179,18 @@ fn launch_usage() -> String {
          Shards the campaign over a fleet, streams partials back over a\n\
          transport, and merges through a per-host tree. The merged output is\n\
          byte-identical to a monolithic run under every tolerated fault.\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n  \
+         {CAMPAIGN_FLAGS_USAGE}\n\
+         {RUNNER_FLAGS_USAGE}\n  \
          --hosts SPEC       the fleet (required): comma-separated `name[*slots]`\n                     \
          entries, e.g. `alpha*4,beta*2,gamma` (slots default 1)\n  \
-         --shards N         sample-range shards (default 3)\n  \
-         --max-attempts N   attempts per shard before giving up (default 3)\n  \
-         --shard-timeout S  kill a flight still running after S seconds and retry\n                     \
-         (fractional ok; default: no watchdog, wait forever)\n  \
          --hedge-after S    re-dispatch a straggling flight onto another host\n                     \
          after S seconds; first valid partial wins (default: off)\n  \
          --quarantine-after N  quarantine a host after N consecutive failures\n                     \
          (default {DEFAULT_QUARANTINE_AFTER})\n  \
          --probation S      quarantine sit-out before a host may be retried\n                     \
          (default 30)\n  \
-         --resume           reuse valid partials already in the run directory\n  \
-         --out PATH         merged stats artifact (default MC_merged.json)\n  \
          --artifact PATH    also write the canonical experiment artifact\n                     \
          (byte-identical to `xbar run table2 --json`)\n  \
-         --work-dir PATH    parent of the per-campaign run directory (shared with\n                     \
-         `mc coordinate`: same checkpoints, same lock)\n  \
-         --worker PATH      worker binary for every dispatch (default: the xbar\n                     \
-         binary next to this one, via `mc shard`)\n  \
-         --worker-arg ARG   extra argument appended to every worker invocation\n                     \
-         (repeatable)\n  \
-         --keep-partials    keep partial files after the merge\n  \
          --exec-arg TOKEN   remote command template token (repeatable). When\n                     \
          present, dispatch runs the rendered template instead of a local\n                     \
          subprocess: `{{host}}` expands to the host name, `{{worker}}` splices\n                     \
@@ -105,59 +204,46 @@ fn launch_usage() -> String {
 }
 
 fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
-    let mut out = LaunchArgs::default();
+    let mut out = LaunchArgs {
+        campaign: CampaignFlags::default(),
+        runner: RunnerFlags::default(),
+        hosts: String::new(),
+        hedge_after: None,
+        quarantine_after: DEFAULT_QUARANTINE_AFTER,
+        probation: DEFAULT_PROBATION,
+        artifact: None,
+        exec_args: Vec::new(),
+        faults: Vec::new(),
+    };
     let mut it = args.into_iter();
     let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
         it.next().ok_or_else(|| format!("{flag} needs a value"))
     };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
-    let secs = |flag: &str, text: String| -> Result<Duration, String> {
-        let secs: f64 = text
-            .parse()
-            .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-        Duration::try_from_secs_f64(secs)
-            .map_err(|_| format!("{flag}: {secs} is not a representable duration"))
-    };
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? {
+        if out.campaign.consume(&flag, &mut it)? || out.runner.consume(&flag, &mut it)? {
             continue;
         }
         match flag.as_str() {
             "--hosts" => out.hosts = value(&flag, &mut it)?,
-            "--shards" => out.shards = num(&flag, value(&flag, &mut it)?)?,
-            "--max-attempts" => out.max_attempts = num(&flag, value(&flag, &mut it)?)?,
-            "--shard-timeout" => {
-                let timeout = secs(&flag, value(&flag, &mut it)?)?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                out.shard_timeout = Some(timeout);
-            }
             "--hedge-after" => {
-                let after = secs(&flag, value(&flag, &mut it)?)?;
+                let after = parse_secs(&flag, &value(&flag, &mut it)?)?;
                 if after.is_zero() {
                     return Err(format!("{flag} must be positive"));
                 }
                 out.hedge_after = Some(after);
             }
             "--quarantine-after" => {
-                let n = num(&flag, value(&flag, &mut it)?)?;
+                let text = value(&flag, &mut it)?;
+                let n: usize = text
+                    .parse()
+                    .map_err(|_| format!("{flag}: expected a number, got {text:?}"))?;
                 if n == 0 {
                     return Err(format!("{flag} must be at least 1"));
                 }
                 out.quarantine_after = n;
             }
-            "--probation" => out.probation = secs(&flag, value(&flag, &mut it)?)?,
-            "--resume" => out.resume = true,
-            "--keep-partials" => out.keep_partials = true,
-            "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
+            "--probation" => out.probation = parse_secs(&flag, &value(&flag, &mut it)?)?,
             "--artifact" => out.artifact = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--work-dir" => out.work_dir = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker" => out.worker = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker-arg" => out.worker_args.push(value(&flag, &mut it)?),
             "--exec-arg" => out.exec_args.push(value(&flag, &mut it)?),
             "--inject-host-fault" => out.faults.push(FaultPlan::parse(&value(&flag, &mut it)?)?),
             "--help" | "-h" => return Ok(None),
@@ -229,7 +315,7 @@ fn table2_argv(flags: &CampaignFlags) -> Vec<String> {
 fn write_canonical_artifact(
     path: &std::path::Path,
     flags: &CampaignFlags,
-    merged: &crate::shard::coordinator::MergedResult,
+    merged: &MergedResult,
 ) -> Result<(), String> {
     let exp = find_experiment("table2").ok_or("table2 vanished from the registry")?;
     let params = Params::parse(exp.extra_params(), table2_argv(flags))
@@ -268,33 +354,16 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
         eprintln!("mc launch: {e}");
         return 2;
     }
-    let worker = match args
-        .worker
-        .clone()
-        .map_or_else(default_worker, |path| Ok(Worker::standalone(path)))
-    {
-        Ok(worker) => worker,
+    let mut cfg = match args.runner.launch_config(config.clone(), hosts) {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("mc launch: {e}");
             return 2;
         }
     };
-    let cfg = LaunchConfig {
-        config: config.clone(),
-        shards: args.shards,
-        max_attempts: args.max_attempts,
-        worker,
-        work_dir: args.work_dir.clone().unwrap_or_else(default_work_dir),
-        extra_worker_args: args.worker_args.clone(),
-        keep_partials: args.keep_partials,
-        shard_timeout: args.shard_timeout,
-        hedge_after: args.hedge_after,
-        resume: args.resume,
-        retry_base: DEFAULT_RETRY_BASE,
-        hosts,
-        quarantine_after: args.quarantine_after,
-        probation: args.probation,
-    };
+    cfg.hedge_after = args.hedge_after;
+    cfg.quarantine_after = args.quarantine_after;
+    cfg.probation = args.probation;
     let transport: Box<dyn Transport> = if args.exec_args.is_empty() {
         Box::new(LocalProc)
     } else {
@@ -328,12 +397,10 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
         }
     };
     print_report(&report);
-    print!("{}", render_timing_table(&merged));
-    if let Err(e) = crate::atomic::write_atomic(&args.out, render_stats_json(&merged).as_bytes()) {
-        eprintln!("mc launch: cannot write {}: {e}", args.out.display());
+    if let Err(e) = args.runner.write_merged(&merged) {
+        eprintln!("mc launch: {e}");
         return 1;
     }
-    println!("wrote {}", args.out.display());
     if let Some(path) = &args.artifact {
         if let Err(e) = write_canonical_artifact(path, &args.campaign, &merged) {
             eprintln!("mc launch: {e}");
@@ -377,7 +444,7 @@ mod tests {
         .expect("parses")
         .expect("not help");
         assert_eq!(args.hosts, "alpha*2,beta");
-        assert_eq!(args.shards, 5);
+        assert_eq!(args.runner.shards, 5);
         assert_eq!(args.hedge_after, Some(Duration::from_millis(500)));
         assert_eq!(args.quarantine_after, 2);
         assert_eq!(args.probation, Duration::from_millis(1500));

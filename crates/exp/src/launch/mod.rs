@@ -1,11 +1,13 @@
-//! Multi-host launcher: fault-tolerant remote dispatch over the sharded
-//! Monte Carlo engine.
+//! The campaign runner: fault-tolerant dispatch of a sharded Monte Carlo
+//! campaign onto a fleet of named hosts through a [`Transport`].
 //!
-//! The launcher sits exactly where `xbar mc coordinate` does — same
-//! campaign vocabulary, same run directory, checkpoints, lock, and
-//! deterministic retry backoff — but dispatches shards through a
-//! [`Transport`] onto a fleet of named hosts instead of spawning local
-//! workers directly:
+//! This is the one event loop every sharded run goes through. `xbar mc
+//! coordinate` is the runner on the one-host local fleet `local*N` (no
+//! hedging, no quarantine — there is nowhere to fail over to); `xbar mc
+//! launch` exposes the full fleet, transport and health policy; the
+//! serving daemon runs every sharded `table2` job on it. All of them
+//! share the campaign vocabulary, run directory, checkpoints, lock, and
+//! deterministic retry backoff of [`crate::shard::coordinator`]:
 //!
 //! * [`transport`] — the dispatch abstraction ([`Transport`]/[`Flight`]),
 //!   its two real implementations ([`LocalProc`] subprocesses and the
@@ -18,7 +20,8 @@
 //!   detection on every returned stream;
 //! * [`merge`] — the two-level merge tree (per-host pre-merge, root
 //!   merge), byte-identical to the flat merge by construction;
-//! * [`cli`] — `xbar mc launch`.
+//! * [`cli`] — `xbar mc launch`, plus the runner flags it shares with
+//!   `xbar mc coordinate`.
 //!
 //! The hard invariant, pinned by tests and the CI loopback smoke: the
 //! merged artifacts are **byte-identical** to a monolithic run under
@@ -33,5 +36,5 @@ pub mod transport;
 
 pub use merge::merge_host_groups;
 pub use pool::{parse_hosts, HostCount, HostHealth, HostPool, HostSpec};
-pub use scheduler::{run_launch, run_launch_with_report, LaunchConfig, LaunchReport};
+pub use scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 pub use transport::{Exec, FaultKind, FaultPlan, Faulty, Flight, LocalProc, Transport, WorkerJob};

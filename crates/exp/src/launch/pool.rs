@@ -17,6 +17,15 @@ pub const DEFAULT_QUARANTINE_AFTER: usize = 3;
 /// How long a quarantined host sits out by default.
 pub const DEFAULT_PROBATION: Duration = Duration::from_secs(30);
 
+/// A quarantine threshold no failure streak reaches: the host is never
+/// quarantined. The policy of a one-host fleet, which has no other host
+/// to fail over to.
+pub const NEVER_QUARANTINE: usize = usize::MAX;
+
+/// The host name of the local machine: the one host of `local*N` fleets,
+/// and the attribution of shards reused from checkpoints.
+pub(crate) const LOCAL_HOST: &str = "local";
+
 /// One host of the fleet: a name (opaque to the launcher — the transport
 /// interprets it) plus how many concurrent flights it may carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +37,16 @@ pub struct HostSpec {
 }
 
 impl HostSpec {
+    /// The local host `local*slots`: the fleet of `xbar mc coordinate`
+    /// and the serving daemon's default.
+    #[must_use]
+    pub fn local(slots: usize) -> Self {
+        Self {
+            name: LOCAL_HOST.to_owned(),
+            slots,
+        }
+    }
+
     /// Renders the `name*slots` form used in the campaign manifest.
     #[must_use]
     pub fn render(&self) -> String {

@@ -1,10 +1,12 @@
-//! The launch scheduler: the coordinator's event loop re-based onto
-//! transports and a health-tracked host pool.
-//!
-//! Scheduling reuses PR 7's machinery wholesale — the same deterministic
-//! [`backoff_delay`] retry schedule, the same watchdog-deadline shape,
-//! the same checkpoint/resume run directory (and its lock) — and adds
-//! the remote failure modes on top:
+//! The campaign runner: the one event loop every sharded Monte Carlo
+//! run goes through — `xbar mc coordinate` (the one-host local fleet
+//! `local*N`), `xbar mc launch` (any fleet and transport), and the
+//! serving daemon's `table2` jobs. At most the fleet's slot total of
+//! flights are live; each shard retries independently with the
+//! deterministic [`backoff_delay`], a flight past
+//! [`LaunchConfig::shard_timeout`] is cancelled and retried, and every
+//! validated partial is checkpointed in the campaign's run directory for
+//! [`LaunchConfig::resume`]. On top of that:
 //!
 //! * a flight's result is *untrusted bytes*: every returned stream is
 //!   parsed and re-validated with [`ShardPartial::validate_for`], so a
@@ -18,10 +20,14 @@
 //!   reject its duplicate anyway).
 
 use super::merge::merge_host_groups;
-use super::pool::{HostCount, HostHealth, HostPool, HostSpec};
+use super::pool::{
+    HostCount, HostHealth, HostPool, HostSpec, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER,
+    LOCAL_HOST, NEVER_QUARANTINE,
+};
 use super::transport::{Transport, WorkerJob};
+use crate::experiments::table2::CircuitAccum;
 use crate::shard::coordinator::{
-    backoff_delay, campaign_run_dir, partial_path, preflight_run_dir, worker_shard_args,
+    backoff_delay, campaign_run_dir, default_work_dir, partial_path, preflight_run_dir,
     MergedResult, RunReport, Worker, DEFAULT_RETRY_BASE,
 };
 use crate::shard::partial::ShardPartial;
@@ -31,15 +37,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Host shards reused from checkpoints (or synthesized empty) are
-/// attributed to in the merge tree and the manifest.
-const LOCAL_HOST: &str = "local";
-
 /// How often the scheduler polls flights when nothing has changed.
 const POLL_INTERVAL: Duration = Duration::from_millis(4);
 
-/// Launcher configuration: the coordinator knobs plus the fleet and its
-/// health/hedging policy.
+/// Runner configuration: the campaign, its retry/watchdog/resume knobs,
+/// and the fleet with its health/hedging policy.
 #[derive(Debug, Clone)]
 pub struct LaunchConfig {
     /// The campaign every shard must agree on.
@@ -51,8 +53,8 @@ pub struct LaunchConfig {
     /// The worker every dispatch runs (binary + entry-point prefix).
     pub worker: Worker,
     /// Parent directory for run directories (checkpoints and resume live
-    /// in [`campaign_run_dir`] beneath it, exactly as for the local
-    /// coordinator).
+    /// in [`campaign_run_dir`] beneath it). The runner creates it when
+    /// missing but never removes it: only the run directory is its own.
     pub work_dir: PathBuf,
     /// Extra arguments appended to every worker invocation.
     pub extra_worker_args: Vec<String>,
@@ -77,21 +79,26 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// A launcher with the coordinator's defaults plus the given fleet:
-    /// three attempts per shard, no watchdog, no hedging, quarantine
-    /// after [`super::pool::DEFAULT_QUARANTINE_AFTER`] consecutive
-    /// failures with a [`super::pool::DEFAULT_PROBATION`] sit-out.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no worker binary can be located.
-    pub fn new(config: McConfig, shards: usize, hosts: Vec<HostSpec>) -> Result<Self, String> {
-        Ok(Self {
+    /// A runner over `hosts` with the defaults: three attempts per shard,
+    /// no watchdog, no hedging, no resume, partials under
+    /// [`default_work_dir`]. A multi-host fleet quarantines a host after
+    /// [`DEFAULT_QUARANTINE_AFTER`] consecutive failures for
+    /// [`DEFAULT_PROBATION`]; a one-host fleet never quarantines
+    /// ([`NEVER_QUARANTINE`]) — it has nowhere to fail over to, so a
+    /// sit-out would only stall the campaign.
+    #[must_use]
+    pub fn new(config: McConfig, shards: usize, hosts: Vec<HostSpec>, worker: Worker) -> Self {
+        let quarantine_after = if hosts.len() == 1 {
+            NEVER_QUARANTINE
+        } else {
+            DEFAULT_QUARANTINE_AFTER
+        };
+        Self {
             config,
             shards,
             max_attempts: 3,
-            worker: crate::shard::coordinator::default_worker()?,
-            work_dir: crate::shard::coordinator::default_work_dir(),
+            worker,
+            work_dir: default_work_dir(),
             extra_worker_args: Vec::new(),
             keep_partials: false,
             shard_timeout: None,
@@ -99,18 +106,16 @@ impl LaunchConfig {
             resume: false,
             retry_base: DEFAULT_RETRY_BASE,
             hosts,
-            quarantine_after: super::pool::DEFAULT_QUARANTINE_AFTER,
-            probation: super::pool::DEFAULT_PROBATION,
-        })
+            quarantine_after,
+            probation: DEFAULT_PROBATION,
+        }
     }
 }
 
-/// Launch counters: the coordinator's [`RunReport`] plus the remote
-/// dimensions.
+/// Runner counters: the base [`RunReport`] plus the fleet dimensions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchReport {
-    /// The coordinator-shaped counters (`spawned` counts dispatched
-    /// flights).
+    /// The base counters (`spawned` counts dispatched flights).
     pub base: RunReport,
     /// Hedged duplicate dispatches for straggler shards.
     pub hedges: usize,
@@ -119,6 +124,44 @@ pub struct LaunchReport {
     pub discards: usize,
     /// Per-host dispatch counters, in fleet order.
     pub hosts: Vec<HostCount>,
+}
+
+/// The shard-describing worker flags every dispatch shares: campaign
+/// identity plus the shard slice (model flags only for non-default
+/// models, so default campaigns keep the exact pre-model argv). Excludes
+/// `--out`: the runner always streams the partial over stdout
+/// (`--out -`).
+fn worker_shard_args(config: &McConfig, spec: &ShardSpec) -> Vec<String> {
+    let mut args = vec![
+        "--samples".to_owned(),
+        config.samples.to_string(),
+        "--seed".to_owned(),
+        config.seed.to_string(),
+        "--defect-rate".to_owned(),
+        // Shortest-round-trip text: the worker parses back the exact bits.
+        format!("{:?}", config.defect_rate),
+        "--rng-stream".to_owned(),
+        config.stream.as_str().to_owned(),
+    ];
+    if !config.model.is_default() {
+        args.push("--defect-model".to_owned());
+        args.push(config.model.kind().as_str().to_owned());
+        if config.model.uses_cluster() {
+            args.push("--cluster-size".to_owned());
+            args.push(format!("{:?}", config.model.cluster_size()));
+        }
+        if config.model.uses_lines() {
+            args.push("--line-rate".to_owned());
+            args.push(format!("{:?}", config.model.line_rate()));
+        }
+    }
+    args.push("--circuits".to_owned());
+    args.push(config.circuits.join(","));
+    args.push("--shard-index".to_owned());
+    args.push(spec.index.to_string());
+    args.push("--num-shards".to_owned());
+    args.push(spec.num_shards.to_string());
+    args
 }
 
 /// A shard waiting (or backing off) for a dispatch slot.
@@ -171,7 +214,7 @@ impl Launcher<'_> {
     /// flight: backoff retry while attempts remain, else permanent.
     fn note_shard_failure(&mut self, spec: ShardSpec, attempt: usize, error: &str) {
         self.last_error = format!("shard {} (attempt {attempt}): {error}", spec.index);
-        eprintln!("mc launch: {}", self.last_error);
+        eprintln!("mc: {}", self.last_error);
         if attempt < self.cfg.max_attempts {
             self.report.base.retries += 1;
             let delay = backoff_delay(
@@ -222,7 +265,7 @@ impl Launcher<'_> {
                 if hedged || self.has_sibling(spec.index) {
                     // The primary flight is still working on the shard;
                     // the failed hedge costs the host, not the shard.
-                    eprintln!("mc launch: shard {} hedge: {error}", spec.index);
+                    eprintln!("mc: shard {} hedge: {error}", spec.index);
                 } else {
                     self.note_shard_failure(spec, attempt, &error);
                 }
@@ -291,9 +334,8 @@ impl Launcher<'_> {
         });
         match outcome {
             Ok((text, partial)) => {
-                // Checkpoint the winning partial under the same path the
-                // local coordinator uses, so `--resume` (and the service
-                // restart flow) work unchanged.
+                // Checkpoint the winning partial in the run directory, so
+                // `--resume` (and the service restart flow) can reuse it.
                 let path = partial_path(&self.run_dir, slot.spec.index);
                 if let Err(e) = crate::atomic::write_atomic(&path, text.as_bytes()) {
                     eprintln!(
@@ -460,8 +502,8 @@ impl Launcher<'_> {
 ///
 /// Reports configuration problems, unwritable work directories, run
 /// directories owned by a different campaign, and permanently failing
-/// shards (with the last per-shard error) — the same failure surface as
-/// the local coordinator, plus dispatch-level errors from the transport.
+/// shards (with the last per-shard error, including dispatch-level
+/// errors from the transport).
 pub fn run_launch_with_report(
     cfg: &LaunchConfig,
     transport: &dyn Transport,
@@ -483,9 +525,8 @@ pub fn run_launch_with_report(
         .map_err(|e| format!("cannot create work dir {}: {e}", cfg.work_dir.display()))?;
     let run_dir = campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards);
     let host_strings: Vec<String> = cfg.hosts.iter().map(HostSpec::render).collect();
-    // Held until this function returns, exactly like the coordinator:
-    // a concurrent launcher or coordinator on the same campaign fails
-    // fast instead of racing on the run directory.
+    // Held until this function returns: a concurrent runner on the same
+    // campaign fails fast instead of racing on the run directory.
     let _lock = preflight_run_dir(&cfg.config, cfg.shards, &host_strings, &run_dir)?;
 
     let specs = ShardSpec::partition(cfg.config.samples, cfg.shards);
@@ -515,12 +556,7 @@ pub fn run_launch_with_report(
                         .config
                         .circuits
                         .iter()
-                        .map(|name| {
-                            (
-                                name.clone(),
-                                crate::experiments::table2::CircuitAccum::new(),
-                            )
-                        })
+                        .map(|name| (name.clone(), CircuitAccum::new()))
                         .collect(),
                 },
             ));
@@ -575,37 +611,49 @@ pub fn run_launch_with_report(
 
     launcher.report.hosts = launcher.pool.counts();
     let report = launcher.report;
-    let assigned: Vec<(String, ShardPartial)> = launcher
-        .partials
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.ok_or_else(|| {
-                format!(
-                    "internal launcher invariant violated: shard {index} has no partial \
-                     although scheduling reported the campaign complete — please report this bug"
-                )
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let assigned = take_collected(launcher.partials)?;
     let merged = merge_host_groups(&cfg.config, &assigned)?;
     if !cfg.keep_partials {
+        // Only the run directory belongs to the runner; the caller's
+        // work dir stays (it may hold the caller's `--out`).
         for index in 0..cfg.shards {
             let _ = fs::remove_file(partial_path(&run_dir, index));
         }
         let _ = fs::remove_file(run_dir.join("campaign.json"));
         let _ = fs::remove_file(run_dir.join("coordinator.lock"));
         let _ = fs::remove_dir(&run_dir);
-        let _ = fs::remove_dir(&cfg.work_dir);
     }
     Ok((merged, report))
 }
 
-/// Runs the campaign and returns only the merged result.
-///
-/// # Errors
-///
-/// See [`run_launch_with_report`].
-pub fn run_launch(cfg: &LaunchConfig, transport: &dyn Transport) -> Result<MergedResult, String> {
-    run_launch_with_report(cfg, transport).map(|(merged, _)| merged)
+/// Turns the runner's `Option`-slotted winners into the merge input,
+/// surfacing a scheduling bug as an error (exit 1 with a message at the
+/// CLI) instead of an unwrap panic.
+fn take_collected(
+    partials: Vec<Option<(String, ShardPartial)>>,
+) -> Result<Vec<(String, ShardPartial)>, String> {
+    partials
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| {
+            slot.ok_or_else(|| {
+                format!(
+                    "internal runner invariant violated: shard {index} has no partial \
+                     although scheduling reported the campaign complete — please report this bug"
+                )
+            })
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn missing_partial_after_scheduling_is_an_invariant_error_not_a_panic() {
+        let err = take_collected(vec![None]).expect_err("must be an error");
+        assert!(err.contains("invariant"), "{err}");
+        assert!(err.contains("shard 0"), "{err}");
+    }
 }

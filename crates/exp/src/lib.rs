@@ -8,16 +8,16 @@
 //! * `xbar run <exp> [--samples N --seed N --defect-rate F --quick
 //!   --json --out DIR]` — any experiment, with a canonical
 //!   machine-readable artifact;
-//! * `xbar mc shard|coordinate` — fault-tolerant process-sharded Monte
-//!   Carlo (watchdog timeouts, bounded concurrency, backoff retry,
-//!   checkpoint/resume — see [`shard::coordinator`]);
-//! * `xbar mc launch` — multi-host dispatch over the same engine: a
-//!   pluggable transport (local subprocesses or an `ssh`-style command
-//!   template), per-host health tracking with quarantine, hedged
-//!   re-dispatch of stragglers, and a two-level merge tree — see
-//!   [`launch`];
+//! * `xbar mc shard|coordinate|launch` — fault-tolerant process-sharded
+//!   Monte Carlo through one campaign runner (watchdog timeouts, bounded
+//!   concurrency, backoff retry, checkpoint/resume — see
+//!   [`launch::scheduler`]): `coordinate` runs it on the local fleet
+//!   `local*N`, `launch` on any fleet through a pluggable transport
+//!   (local subprocesses or an `ssh`-style command template) with
+//!   per-host health tracking, hedged re-dispatch of stragglers, and a
+//!   two-level merge tree;
 //! * `xbar serve` / `xbar submit` — the yield-oracle service: a queued,
-//!   batching, cache-fronted daemon over the sharded engine, speaking
+//!   cache-fronted daemon over the same runner, speaking
 //!   newline-delimited JSON (`xbar-svc/1`) on a TCP socket — see
 //!   [`service`].
 //!
@@ -39,9 +39,6 @@
 //! | Ext-E (column redundancy) | `ext_column_redundancy` |
 //! | Ext-F (defect-map extraction) | `ext_defect_scan` |
 //! | Yield estimation building block | `estimate_yield` |
-//!
-//! The 17 pre-redesign binaries still build as deprecation shims that
-//! delegate into the registry with their old flags.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,7 +53,7 @@ pub mod service;
 pub mod shard;
 mod table;
 
-pub use cli::{legacy_mc_shim, legacy_shim, run_cli, ExpArgs};
+pub use cli::{run_cli, ExpArgs};
 pub use experiment::{
     find_experiment, registry, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,

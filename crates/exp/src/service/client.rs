@@ -213,7 +213,7 @@ fn deliver_artifact(reply: &Reply, out: Option<&PathBuf>) -> Result<(), String> 
     Ok(())
 }
 
-/// The stderr completion note. Keeps the coordinator counters visible so
+/// The stderr completion note. Keeps the runner counters visible so
 /// scripts (and the resume smoke test) can see *how* the job ran — e.g.
 /// that a resubmit after a daemon crash actually reused checkpoints.
 fn describe_result(reply: &Reply) -> String {
@@ -231,8 +231,7 @@ fn describe_result(reply: &Reply) -> String {
         ),
         _ => format!("cache {cache}"),
     };
-    // Per-host dispatch attribution, when the job ran through the
-    // multi-host launcher.
+    // Per-host dispatch attribution, when the job ran sharded.
     if let Some(hosts) = reply.doc.get("hosts").and_then(Json::as_arr) {
         let parts: Vec<String> = hosts
             .iter()

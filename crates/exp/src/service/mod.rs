@@ -1,4 +1,4 @@
-//! The yield-oracle service: a queued, batching, cache-fronted daemon
+//! The yield-oracle service: a queued, cache-fronted daemon
 //! over the sharded Monte Carlo engine.
 //!
 //! `xbar serve` runs a long-lived daemon speaking newline-delimited JSON
@@ -12,18 +12,17 @@
 //!    forever, so a repeated submit is answered byte-identical from disk
 //!    without spawning any work.
 //! 2. **Queue** ([`queue`]): a FIFO job queue with bounded worker slots.
-//!    Identical in-flight requests coalesce onto one job, and workers
-//!    prefer queued jobs sharing a circuit/seed *batch key* with the job
-//!    they just ran, so [`xbar_core::MatchEngine::prepare_fm`] covers —
-//!    minimized per (circuit, seed) — amortize across requests.
-//! 3. **Execution** ([`server`]): each job runs through the existing
-//!    registry + sharded-coordinator machinery with a per-job run
-//!    directory under the service work dir — the same `coordinator.lock`,
-//!    retry/timeout/resume semantics as `xbar mc coordinate`. Progress is
-//!    streamed to waiting clients as periodic `progress` events, and the
-//!    final response carries the coordinator's [`RunReport`] counters.
-//!    A daemon killed mid-job leaves resumable shard checkpoints: restart
-//!    it on the same work dir and resubmit.
+//!    Identical in-flight requests coalesce onto one job.
+//! 3. **Execution** ([`server`]): each sharded job runs through the
+//!    campaign runner ([`crate::launch::run_launch_with_report`]) over the
+//!    job fleet (`--launcher`, default `local*{available parallelism}`)
+//!    with a per-job run directory under the service work dir — the same
+//!    `coordinator.lock`, retry/timeout/resume semantics as
+//!    `xbar mc coordinate`. Progress is streamed to waiting clients as
+//!    periodic `progress` events, and the final response carries the
+//!    runner's [`RunReport`] counters and per-host attribution. A daemon
+//!    killed mid-job leaves resumable shard checkpoints: restart it on the
+//!    same work dir and resubmit.
 //!
 //! [`RunReport`]: crate::shard::coordinator::RunReport
 

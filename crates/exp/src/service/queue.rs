@@ -1,4 +1,4 @@
-//! The daemon's FIFO job queue with coalescing and batch affinity.
+//! The daemon's FIFO job queue with coalescing.
 //!
 //! One [`JobQueue`] is shared (behind a mutex + condvar) by the accept
 //! loop's connection threads (producers) and the bounded pool of worker
@@ -7,19 +7,14 @@
 //! queue just records the running count so the bound is observable in
 //! `stats`.
 //!
-//! Two scheduling refinements on top of plain FIFO:
-//!
-//! * **Coalescing** — a submit whose cache key matches a job already
-//!   queued or running joins that job instead of enqueueing a duplicate:
-//!   the deterministic-artifact contract makes the two requests
-//!   indistinguishable, so running both would be pure waste.
-//! * **Batch affinity** — a worker that just finished a job asks for the
-//!   oldest queued job sharing its *batch key* (experiment + seed +
-//!   circuit selection) before falling back to the global FIFO head.
-//!   Jobs in one batch re-minimize the same covers and prepare the same
-//!   function-matrix structures ([`xbar_core::MatchEngine::prepare_fm`]),
-//!   all of which are hot in the page cache and CPU caches right after a
-//!   batch sibling ran.
+//! Jobs run in arrival order. The one refinement is **coalescing**: a
+//! submit whose cache key matches a job already queued or running joins
+//! that job instead of enqueueing a duplicate — the
+//! deterministic-artifact contract makes the two requests
+//! indistinguishable, so running both would be pure waste. (There is no
+//! batch reordering: every sharded job spawns fresh worker processes, so
+//! no prepared cover or function matrix survives from one job to the
+//! next for a reordering to reuse.)
 
 use crate::launch::HostCount;
 use crate::shard::coordinator::RunReport;
@@ -98,8 +93,6 @@ pub struct JobSpec {
     pub experiment: String,
     /// Experiment argument words.
     pub args: Vec<String>,
-    /// Batch-affinity key.
-    pub batch: String,
 }
 
 /// An observable copy of a job's current state.
@@ -117,15 +110,15 @@ pub struct JobSnapshot {
     pub error: Option<String>,
     /// The finished artifact document.
     pub artifact: Option<Arc<String>>,
-    /// Coordinator run directory, once execution has planned one (lets
-    /// progress reporting count shard checkpoints as they land).
+    /// Run directory, once execution has planned one (lets progress
+    /// reporting count shard checkpoints as they land).
     pub run_dir: Option<PathBuf>,
-    /// Shard count of the coordinator run (0 for in-process execution).
+    /// Shard count of the sharded run (0 for in-process execution).
     pub shards: usize,
-    /// Coordinator scheduling counters, once finished.
+    /// Runner scheduling counters, once finished.
     pub report: Option<RunReport>,
-    /// Per-host dispatch attribution, when the job ran through the
-    /// multi-host launcher (empty for in-process and single-host runs).
+    /// Per-host dispatch attribution, when the job ran sharded (empty for
+    /// in-process runs).
     pub hosts: Vec<HostCount>,
     /// Milliseconds since the job started running (or was submitted, if
     /// still queued); frozen at completion.
@@ -170,7 +163,6 @@ struct JobEntry {
     args: Vec<String>,
     key_name: String,
     key_document: String,
-    batch: String,
     state: JobState,
     cache: CacheDisposition,
     error: Option<String>,
@@ -246,15 +238,13 @@ impl JobQueue {
     }
 
     /// Enqueues a job (or coalesces onto an identical live one). The key
-    /// pair identifies the artifact the job will produce; `batch` is the
-    /// affinity key for scheduling.
+    /// pair identifies the artifact the job will produce.
     pub fn submit(
         &self,
         experiment: &str,
         args: Vec<String>,
         key_name: &str,
         key_document: &str,
-        batch: String,
     ) -> (u64, CacheDisposition) {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.stats.submitted += 1;
@@ -278,7 +268,6 @@ impl JobQueue {
             args,
             key_name: key_name.to_owned(),
             key_document: key_document.to_owned(),
-            batch,
             state: JobState::Queued,
             cache: CacheDisposition::Miss,
             error: None,
@@ -312,7 +301,6 @@ impl JobQueue {
             args: Vec::new(),
             key_name: String::new(),
             key_document: String::new(),
-            batch: String::new(),
             state: JobState::Done,
             cache: CacheDisposition::Hit,
             error: None,
@@ -328,23 +316,15 @@ impl JobQueue {
         id
     }
 
-    /// Blocks until a job is available (returning its spec, now marked
-    /// running) or the queue is draining with nothing left to run
-    /// (returning `None` — the worker thread should exit). A worker
-    /// passes the batch key of the job it just ran; the oldest queued
-    /// job of the same batch is preferred over the global FIFO head.
+    /// Blocks until a job is available (returning the oldest queued
+    /// job's spec, now marked running) or the queue is draining with
+    /// nothing left to run (returning `None` — the worker thread should
+    /// exit).
     #[must_use]
-    pub fn next_job(&self, last_batch: Option<&str>) -> Option<JobSpec> {
+    pub fn next_job(&self) -> Option<JobSpec> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
-            let affine = last_batch.and_then(|batch| {
-                inner
-                    .fifo
-                    .iter()
-                    .copied()
-                    .find(|&id| inner.entry(id).is_some_and(|j| j.batch == batch))
-            });
-            if let Some(id) = affine.or_else(|| inner.fifo.front().copied()) {
+            if let Some(id) = inner.fifo.front().copied() {
                 return Some(self.claim(&mut inner, id));
             }
             if inner.draining {
@@ -367,11 +347,10 @@ impl JobQueue {
             id,
             experiment: entry.experiment.clone(),
             args: entry.args.clone(),
-            batch: entry.batch.clone(),
         }
     }
 
-    /// Records the coordinator run directory and shard count of a running
+    /// Records the run directory and shard count of a running
     /// job, so progress reporting can count checkpoints on disk.
     pub fn set_run_dir(&self, id: u64, run_dir: PathBuf, shards: usize) {
         let mut inner = self.inner.lock().expect("queue lock");
@@ -381,8 +360,8 @@ impl JobQueue {
         }
     }
 
-    /// Completes a running job with its artifact (and the coordinator's
-    /// report plus per-host attribution, when it ran sharded).
+    /// Completes a running job with its artifact (and the runner's report
+    /// plus per-host attribution, when it ran sharded).
     pub fn finish(
         &self,
         id: u64,
@@ -502,8 +481,8 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn submit_simple(queue: &JobQueue, tag: &str, batch: &str) -> u64 {
-        let (id, cache) = queue.submit("table2", vec![], tag, tag, batch.to_owned());
+    fn submit_simple(queue: &JobQueue, tag: &str) -> u64 {
+        let (id, cache) = queue.submit("table2", vec![], tag, tag);
         assert_eq!(cache, CacheDisposition::Miss);
         id
     }
@@ -511,27 +490,27 @@ mod tests {
     #[test]
     fn fifo_order_without_affinity() {
         let queue = JobQueue::new();
-        let a = submit_simple(&queue, "a", "b1");
-        let b = submit_simple(&queue, "b", "b2");
-        assert_eq!(queue.next_job(None).unwrap().id, a);
-        assert_eq!(queue.next_job(None).unwrap().id, b);
+        let a = submit_simple(&queue, "a");
+        let b = submit_simple(&queue, "b");
+        assert_eq!(queue.next_job().unwrap().id, a);
+        assert_eq!(queue.next_job().unwrap().id, b);
     }
 
     #[test]
     fn identical_live_requests_coalesce_and_settle_together() {
         let queue = JobQueue::new();
-        let id = submit_simple(&queue, "k", "b");
-        let (joined, cache) = queue.submit("table2", vec![], "k", "k", "b".to_owned());
+        let id = submit_simple(&queue, "k");
+        let (joined, cache) = queue.submit("table2", vec![], "k", "k");
         assert_eq!(joined, id);
         assert_eq!(cache, CacheDisposition::Coalesced);
         // Still coalesces while running.
-        let spec = queue.next_job(None).expect("job");
-        let (joined, _) = queue.submit("table2", vec![], "k", "k", "b".to_owned());
+        let spec = queue.next_job().expect("job");
+        let (joined, _) = queue.submit("table2", vec![], "k", "k");
         assert_eq!(joined, id);
         // After completion a new identical submit is a fresh job (the
         // cache layer will answer it before it reaches the queue).
         queue.finish(spec.id, Arc::new("artifact".to_owned()), None, Vec::new());
-        let (fresh, cache) = queue.submit("table2", vec![], "k", "k", "b".to_owned());
+        let (fresh, cache) = queue.submit("table2", vec![], "k", "k");
         assert_ne!(fresh, id);
         assert_eq!(cache, CacheDisposition::Miss);
         let stats = queue.stats();
@@ -541,28 +520,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_affinity_outranks_fifo_but_not_starvation() {
-        let queue = JobQueue::new();
-        let first = submit_simple(&queue, "1", "alpha");
-        let second = submit_simple(&queue, "2", "beta");
-        let third = submit_simple(&queue, "3", "alpha");
-        // A worker fresh off an `alpha` job skips ahead to the queued
-        // alpha sibling...
-        assert_eq!(queue.next_job(Some("alpha")).unwrap().id, first);
-        assert_eq!(queue.next_job(Some("alpha")).unwrap().id, third);
-        // ...and falls back to FIFO when its batch has nothing queued.
-        assert_eq!(queue.next_job(Some("alpha")).unwrap().id, second);
-    }
-
-    #[test]
     fn cancel_only_affects_queued_jobs() {
         let queue = JobQueue::new();
-        let id = submit_simple(&queue, "x", "b");
+        let id = submit_simple(&queue, "x");
         queue.cancel(id).expect("queued job cancels");
         assert_eq!(queue.snapshot(id).unwrap().state, JobState::Cancelled);
         assert!(queue.cancel(id).is_err(), "already cancelled");
-        let running = submit_simple(&queue, "y", "b");
-        let _ = queue.next_job(None).expect("job");
+        let running = submit_simple(&queue, "y");
+        let _ = queue.next_job().expect("job");
         let err = queue.cancel(running).expect_err("running job refuses");
         assert!(err.contains("running"), "{err}");
         assert!(queue.cancel(999).is_err(), "unknown id");
@@ -571,16 +536,16 @@ mod tests {
     #[test]
     fn drain_cancels_queued_work_and_releases_idle_workers() {
         let queue = Arc::new(JobQueue::new());
-        let running = submit_simple(&queue, "r", "b");
-        let queued = submit_simple(&queue, "q", "b");
-        let spec = queue.next_job(None).expect("job");
+        let running = submit_simple(&queue, "r");
+        let queued = submit_simple(&queue, "q");
+        let spec = queue.next_job().expect("job");
         assert_eq!(spec.id, running);
         queue.drain("service shutting down");
         let snap = queue.snapshot(queued).unwrap();
         assert_eq!(snap.state, JobState::Cancelled);
         assert_eq!(snap.error.as_deref(), Some("service shutting down"));
         // An idle worker sees end-of-work immediately.
-        assert!(queue.next_job(None).is_none());
+        assert!(queue.next_job().is_none());
         // wait_idle returns once the running job settles.
         let waiter = {
             let queue = Arc::clone(&queue);
@@ -597,11 +562,11 @@ mod tests {
         let queue = Arc::new(JobQueue::new());
         let worker = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_job(None).map(|spec| spec.id))
+            std::thread::spawn(move || queue.next_job().map(|spec| spec.id))
         };
         std::thread::sleep(Duration::from_millis(30));
         assert!(!worker.is_finished(), "no work yet");
-        let id = submit_simple(&queue, "late", "b");
+        let id = submit_simple(&queue, "late");
         assert_eq!(worker.join().expect("joins"), Some(id));
     }
 
@@ -609,10 +574,10 @@ mod tests {
     fn running_counters_track_claims_and_completions() {
         let queue = JobQueue::new();
         for tag in ["a", "b", "c"] {
-            submit_simple(&queue, tag, "b");
+            submit_simple(&queue, tag);
         }
-        let s1 = queue.next_job(None).unwrap();
-        let s2 = queue.next_job(None).unwrap();
+        let s1 = queue.next_job().unwrap();
+        let s2 = queue.next_job().unwrap();
         assert_eq!(queue.stats().running, 2);
         assert_eq!(queue.stats().queued, 1);
         let report = RunReport {

@@ -7,13 +7,14 @@
 //! shared [`JobQueue`] — the pool size *is* the concurrency bound.
 //!
 //! Execution reuses the existing machinery end to end. `table2` (the
-//! flagship Monte Carlo workload) runs through the sharded
-//! [`coordinator`](crate::shard::coordinator) with a per-job run
-//! directory under `<work-dir>/jobs/<cache-key>/` — the same
-//! `coordinator.lock`, watchdog, retry, and resume semantics as
-//! `xbar mc coordinate` — and the artifact is rebuilt from the merged
-//! accumulators via [`table2_artifact_data`], byte-identical to a
-//! monolithic `xbar run` because the merge is integer-exact. Every other
+//! flagship Monte Carlo workload) runs through the campaign runner
+//! ([`run_launch_with_report`]) over the job fleet (`--launcher`,
+//! default `local*{available parallelism}`) with a per-job run directory
+//! under `<work-dir>/jobs/<cache-key>/` — the same `coordinator.lock`,
+//! watchdog, retry, and resume semantics as `xbar mc coordinate` — and
+//! the artifact is rebuilt from the merged accumulators via
+//! [`table2_artifact_from_accums`], byte-identical to a monolithic
+//! `xbar run` because the merge is integer-exact. Every other
 //! experiment (and everything when `--in-process-jobs` is set) runs
 //! in-process through [`Experiment::run`], which is the `xbar run` code
 //! path itself. Either way the rendered artifact lands in the
@@ -28,6 +29,7 @@
 
 use crate::experiment::{find_experiment, Experiment, Params, Reporter};
 use crate::experiments::table2::{resolve_circuit_subset, table2_artifact_from_accums};
+use crate::launch::cli::parse_secs;
 use crate::launch::{
     parse_hosts, run_launch_with_report, FaultPlan, Faulty, HostCount, HostSpec, LaunchConfig,
     LocalProc, Transport,
@@ -35,10 +37,7 @@ use crate::launch::{
 use crate::service::cache::{cache_key, ArtifactCache, CacheKey};
 use crate::service::protocol::{error_line, response, Request};
 use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
-use crate::shard::coordinator::{
-    campaign_run_dir, default_worker, run_coordinator_with_report, CoordinatorConfig, RunReport,
-    Worker, DEFAULT_RETRY_BASE,
-};
+use crate::shard::coordinator::{campaign_run_dir, default_worker, RunReport, Worker};
 use crate::shard::json::JsonValue;
 use crate::shard::McConfig;
 use std::fs;
@@ -68,17 +67,14 @@ pub struct ServeOptions {
     /// [`ServiceHandle::addr`]).
     pub listen: String,
     /// Service state root (`--work-dir`): the artifact cache lives in
-    /// `cache/`, per-job coordinator run dirs in `jobs/`. Reusing a work
+    /// `cache/`, per-job run dirs in `jobs/`. Reusing a work
     /// dir across restarts keeps the cache and resumes interrupted jobs.
     pub work_dir: PathBuf,
     /// Worker slots — jobs executing simultaneously (`--max-inflight`,
     /// default: available parallelism).
     pub max_inflight: usize,
-    /// Shards per coordinator-backed job (`--job-shards`, default 4).
+    /// Shards per sharded job (`--job-shards`, default 4).
     pub job_shards: usize,
-    /// Worker-process cap *within* one job's coordinator
-    /// (`--job-max-inflight`, default: the coordinator's own default).
-    pub job_max_inflight: Option<usize>,
     /// Per-shard watchdog deadline (`--shard-timeout`, seconds).
     pub shard_timeout: Option<Duration>,
     /// Run every job in-process through the registry instead of spawning
@@ -87,11 +83,12 @@ pub struct ServeOptions {
     /// Extra arguments forwarded to every shard worker (`--worker-arg`,
     /// repeatable; the failure-injection smoke hooks live here).
     pub worker_args: Vec<String>,
-    /// Route sharded jobs through the multi-host launcher instead of the
-    /// single-host coordinator (`--launcher SPEC`, same `name[*slots]`
-    /// grammar as `xbar mc launch --hosts`). Nothing above the job
-    /// executor changes; artifacts stay byte-identical.
-    pub launcher_hosts: Option<Vec<HostSpec>>,
+    /// The fleet every sharded job runs on (`--launcher SPEC`, same
+    /// `name[*slots]` grammar as `xbar mc launch --hosts`; default
+    /// `local*{available parallelism}`). Its slot total bounds the live
+    /// shard workers within one job. Artifacts are byte-identical on any
+    /// fleet.
+    pub launcher_hosts: Vec<HostSpec>,
     /// Fault plans injected into the launcher transport
     /// (`--launcher-fault host=kind[@ordinal]`, repeatable; exists for
     /// the failure-injection smoke tests).
@@ -100,17 +97,17 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> Self {
+        let parallelism =
+            std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         Self {
             listen: "127.0.0.1:7878".to_owned(),
             work_dir: std::env::temp_dir().join("xbar-svc"),
-            max_inflight: std::thread::available_parallelism()
-                .map_or(4, std::num::NonZeroUsize::get),
+            max_inflight: parallelism,
             job_shards: 4,
-            job_max_inflight: None,
             shard_timeout: None,
             in_process_jobs: false,
             worker_args: Vec::new(),
-            launcher_hosts: None,
+            launcher_hosts: vec![HostSpec::local(parallelism)],
             launcher_faults: Vec::new(),
         }
     }
@@ -249,9 +246,7 @@ fn accept_loop(state: &Arc<ServiceState>, listener: &TcpListener) {
 }
 
 fn worker_loop(state: &Arc<ServiceState>) {
-    let mut last_batch: Option<String> = None;
-    while let Some(spec) = state.queue.next_job(last_batch.as_deref()) {
-        last_batch = Some(spec.batch.clone());
+    while let Some(spec) = state.queue.next_job() {
         execute_job(state, &spec);
     }
 }
@@ -389,13 +384,9 @@ fn handle_submit(
     if state.shutdown.load(Ordering::SeqCst) {
         return send(writer, &error_line("service is shutting down"));
     }
-    let (id, disposition) = state.queue.submit(
-        exp.name(),
-        args,
-        &key.name,
-        &key.document,
-        batch_key(exp, &params),
-    );
+    let (id, disposition) = state
+        .queue
+        .submit(exp.name(), args, &key.name, &key.document);
     let submitted = response(
         "submitted",
         vec![
@@ -423,7 +414,7 @@ fn handle_submit(
 
 /// Polls a job until it settles, streaming periodic `progress` events and
 /// the final `result`/`error` line. Progress counts the shard partials
-/// already checkpointed in the job's coordinator run directory — the same
+/// already checkpointed in the job's run directory — the same
 /// numbers [`RunReport`] summarizes at the end.
 fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u64) -> bool {
     let mut tick: u32 = 0;
@@ -455,7 +446,7 @@ fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u
     }
 }
 
-/// Counts checkpointed shard partials for a running coordinator job.
+/// Counts checkpointed shard partials for a running sharded job.
 fn shard_progress(snap: &JobSnapshot) -> (usize, usize) {
     let Some(run_dir) = &snap.run_dir else {
         return (0, snap.shards);
@@ -474,7 +465,7 @@ fn shard_progress(snap: &JobSnapshot) -> (usize, usize) {
 }
 
 /// The final line for a settled job: `result` with the artifact (plus the
-/// coordinator counters when it ran sharded), or `error`.
+/// runner counters and host attribution when it ran sharded), or `error`.
 fn result_or_error_line(snap: &JobSnapshot) -> String {
     match snap.state {
         JobState::Done => {
@@ -541,7 +532,7 @@ fn report_fields(report: &RunReport) -> Vec<(String, JsonValue)> {
     ]
 }
 
-/// Per-host dispatch attribution (from the launcher's [`HostCount`]s) as
+/// Per-host dispatch attribution (from the runner's [`HostCount`]s) as
 /// a JSON array field on `result` and `status` responses.
 fn hosts_field(hosts: &[HostCount]) -> JsonValue {
     JsonValue::arr(hosts.iter().map(|h| {
@@ -602,19 +593,6 @@ fn stats_line(state: &Arc<ServiceState>) -> String {
     )
 }
 
-/// The batch-affinity key: jobs agreeing on experiment, seed, and circuit
-/// selection re-minimize the same covers and prepare the same FM
-/// structures, so running them back-to-back on one worker amortizes that
-/// setup across requests.
-fn batch_key(exp: &dyn Experiment, params: &Params) -> String {
-    let circuits = params
-        .opt_list("circuits")
-        .map(|list| list.join(","))
-        .or_else(|| params.opt_str("circuit").map(str::to_owned))
-        .unwrap_or_else(|| "-".to_owned());
-    format!("{}|{}|{}", exp.name(), params.seed, circuits)
-}
-
 fn execute_job(state: &Arc<ServiceState>, spec: &JobSpec) {
     match run_job(state, spec) {
         Ok((artifact, report, hosts)) => {
@@ -640,27 +618,17 @@ fn run_job(
         .map_err(|e| format!("bad parameters: {e}"))?;
     let key = cache_key(exp, &params);
 
-    // `table2` runs through the sharded coordinator (checkpoints, retry,
-    // resume) unless the daemon was told to stay in-process; with
-    // `--launcher` the same shards are instead dispatched over the host
-    // fleet by the multi-host launcher. Every other experiment runs
-    // through the registry directly — the exact `xbar run` code path, so
-    // the artifact is byte-identical by construction. A missing worker
-    // binary degrades to in-process too, so a daemon started from an
-    // unusual location still serves.
+    // `table2` runs sharded through the campaign runner over the job
+    // fleet (checkpoints, retry, resume) unless the daemon was told to
+    // stay in-process. Every other experiment runs through the registry
+    // directly — the exact `xbar run` code path, so the artifact is
+    // byte-identical by construction. A missing worker binary degrades to
+    // in-process too, so a daemon started from an unusual location still
+    // serves.
     let sharded = !state.options.in_process_jobs && spec.experiment == "table2";
     let (artifact, report, hosts) = if sharded {
         match default_worker() {
-            Ok(worker) => match &state.options.launcher_hosts {
-                Some(hosts) => {
-                    run_launched_table2(state, spec.id, exp, &params, &key, worker, hosts)?
-                }
-                None => {
-                    let (artifact, report) =
-                        run_coordinated_table2(state, spec.id, exp, &params, &key, worker)?;
-                    (artifact, report, Vec::new())
-                }
-            },
+            Ok(worker) => run_sharded_table2(state, spec.id, exp, &params, &key, worker)?,
             Err(e) => {
                 eprintln!(
                     "xbar serve: no shard worker ({e}); running job {} in-process",
@@ -689,11 +657,7 @@ fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, Strin
     Ok(artifact.render(exp, params))
 }
 
-/// Runs a `table2` job through the fault-tolerant sharded coordinator and
-/// rebuilds the canonical artifact from the merged accumulators. The
-/// job's run directory persists (`keep_partials`) until the artifact is
-/// safely cached, so a daemon killed mid-job resumes instead of
-/// restarting from sample zero.
+/// The campaign a `table2` job's parameters describe.
 fn table2_mc_config(params: &Params) -> Result<McConfig, String> {
     let circuits = resolve_circuit_subset(params.list("circuits")).map_err(|e| match e {
         crate::experiment::ExpError::Usage(m) | crate::experiment::ExpError::Failed(m) => m,
@@ -708,62 +672,27 @@ fn table2_mc_config(params: &Params) -> Result<McConfig, String> {
     })
 }
 
-fn run_coordinated_table2(
+/// Runs a `table2` job through the campaign runner over the job fleet
+/// and rebuilds the canonical artifact from the merged accumulators. The
+/// job's run directory persists (`keep_partials`) until the artifact is
+/// safely cached, so a daemon killed mid-job resumes instead of
+/// restarting from sample zero.
+fn run_sharded_table2(
     state: &Arc<ServiceState>,
     id: u64,
     exp: &dyn Experiment,
     params: &Params,
     key: &CacheKey,
     worker: Worker,
-) -> Result<(String, Option<RunReport>), String> {
-    let config = table2_mc_config(params)?;
-    let job_dir = state.jobs_dir.join(&key.name);
-    let cfg = CoordinatorConfig {
-        shards: state.options.job_shards,
-        max_attempts: 3,
-        worker,
-        work_dir: job_dir.clone(),
-        extra_worker_args: state.options.worker_args.clone(),
-        keep_partials: true,
-        shard_timeout: state.options.shard_timeout,
-        max_inflight: state.options.job_max_inflight,
-        resume: true,
-        retry_base: DEFAULT_RETRY_BASE,
-        config,
-    };
-    state.queue.set_run_dir(
-        id,
-        campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards),
-        cfg.shards,
-    );
-    let (merged, report) = run_coordinator_with_report(&cfg)?;
-    let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
-
-    // The checkpoints have served their purpose once the artifact exists;
-    // the caller caches it before reporting done, and the cache — not the
-    // run dir — is the durable record.
-    let _ = fs::remove_dir_all(&job_dir);
-    Ok((artifact, Some(report)))
-}
-
-/// Runs a `table2` job through the multi-host launcher (`--launcher`):
-/// the same shard partition, checkpoint format, and integer-exact merge
-/// as the coordinator path, but dispatched across the configured fleet
-/// with per-host health tracking and hedged stragglers. Nothing above
-/// this executor changes, and the artifact stays byte-identical.
-fn run_launched_table2(
-    state: &Arc<ServiceState>,
-    id: u64,
-    exp: &dyn Experiment,
-    params: &Params,
-    key: &CacheKey,
-    worker: Worker,
-    hosts: &[HostSpec],
 ) -> Result<(String, Option<RunReport>, Vec<HostCount>), String> {
     let config = table2_mc_config(params)?;
     let job_dir = state.jobs_dir.join(&key.name);
-    let mut cfg = LaunchConfig::new(config, state.options.job_shards, hosts.to_vec())?;
-    cfg.worker = worker;
+    let mut cfg = LaunchConfig::new(
+        config,
+        state.options.job_shards,
+        state.options.launcher_hosts.clone(),
+        worker,
+    );
     cfg.work_dir = job_dir.clone();
     cfg.extra_worker_args = state.options.worker_args.clone();
     cfg.keep_partials = true;
@@ -784,6 +713,10 @@ fn run_launched_table2(
     };
     let (merged, report) = run_launch_with_report(&cfg, &transport)?;
     let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
+
+    // The checkpoints have served their purpose once the artifact exists;
+    // the caller caches it before reporting done, and the cache — not the
+    // run dir — is the durable record.
     let _ = fs::remove_dir_all(&job_dir);
     Ok((artifact, Some(report.base), report.hosts))
 }
@@ -801,18 +734,17 @@ fn serve_usage() -> String {
      restarts to keep the cache and resume interrupted jobs)\n  \
      --max-inflight N     jobs executing at once (default: available\n                       \
      parallelism)\n  \
-     --job-shards N       worker processes per coordinator-backed job (default 4)\n  \
-     --job-max-inflight N live shard workers within one job (default: the\n                       \
-     coordinator's choice)\n  \
+     --job-shards N       shards per sharded job (default 4)\n  \
      --shard-timeout S    per-shard watchdog seconds, fractional ok (default:\n                       \
      no watchdog)\n  \
      --in-process-jobs    run jobs in-process instead of spawning shard workers\n  \
      --worker-arg ARG     extra argument for every shard worker (repeatable;\n                       \
      used by fault-injection tests)\n  \
-     --launcher SPEC      dispatch sharded jobs over a host fleet via the\n                       \
-     multi-host launcher (same `name[*slots],...` grammar\n                       \
-     as `xbar mc launch --hosts`); artifacts stay\n                       \
-     byte-identical to the coordinator path\n  \
+     --launcher SPEC      the fleet sharded jobs run on (same `name[*slots],...`\n                       \
+     grammar as `xbar mc launch --hosts`; default\n                       \
+     local*<available parallelism>); its slot total bounds\n                       \
+     the live shard workers within one job, e.g.\n                       \
+     `--launcher local*1` serializes them\n  \
      --launcher-fault P   inject a transport fault `host=kind[@ordinal]`\n                       \
      (repeatable; used by the failure-injection smokes)"
         .to_owned()
@@ -844,20 +776,8 @@ fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, String> {
                     return Err(format!("{flag} must be at least 1"));
                 }
             }
-            "--job-max-inflight" => {
-                let n = num(&flag, value(&flag, &mut it)?)?;
-                if n == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                options.job_max_inflight = Some(n);
-            }
             "--shard-timeout" => {
-                let text = value(&flag, &mut it)?;
-                let secs: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-                let timeout = Duration::try_from_secs_f64(secs)
-                    .map_err(|_| format!("{flag}: {secs} is not a representable duration"))?;
+                let timeout = parse_secs(&flag, &value(&flag, &mut it)?)?;
                 if timeout.is_zero() {
                     return Err(format!("{flag} must be positive"));
                 }
@@ -867,8 +787,7 @@ fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, String> {
             "--worker-arg" => options.worker_args.push(value(&flag, &mut it)?),
             "--launcher" => {
                 let spec = value(&flag, &mut it)?;
-                options.launcher_hosts =
-                    Some(parse_hosts(&spec).map_err(|e| format!("{flag}: {e}"))?);
+                options.launcher_hosts = parse_hosts(&spec).map_err(|e| format!("{flag}: {e}"))?;
             }
             "--launcher-fault" => {
                 let plan = value(&flag, &mut it)?;
@@ -942,8 +861,6 @@ mod tests {
             "2",
             "--job-shards",
             "3",
-            "--job-max-inflight",
-            "1",
             "--shard-timeout",
             "2.5",
             "--in-process-jobs",
@@ -964,11 +881,10 @@ mod tests {
         assert_eq!(options.work_dir, PathBuf::from("/tmp/svc"));
         assert_eq!(options.max_inflight, 2);
         assert_eq!(options.job_shards, 3);
-        assert_eq!(options.job_max_inflight, Some(1));
         assert_eq!(options.shard_timeout, Some(Duration::from_millis(2500)));
         assert!(options.in_process_jobs);
         assert_eq!(options.worker_args, ["--inject-slow-ms", "50"]);
-        let hosts = options.launcher_hosts.expect("launcher fleet");
+        let hosts = options.launcher_hosts;
         assert_eq!(hosts.len(), 2);
         assert_eq!(hosts[0].name, "alpha");
         assert_eq!(hosts[0].slots, 2);
@@ -981,7 +897,7 @@ mod tests {
         for words in [
             &["--max-inflight", "0"][..],
             &["--job-shards", "0"][..],
-            &["--job-max-inflight", "0"][..],
+            &["--job-max-inflight", "1"][..],
             &["--shard-timeout", "0"][..],
             &["--shard-timeout", "soon"][..],
             &["--listen"][..],

@@ -1,14 +1,12 @@
-//! CLI entry points for the sharded Monte Carlo subsystem, shared by
-//! `xbar mc shard` / `xbar mc coordinate` and the deprecated standalone
-//! `mc_shard` / `mc_coordinator` shims. Parsing is `Result`-based: usage
-//! problems print help to stderr and return exit code 2.
+//! CLI entry points for the sharded Monte Carlo subsystem: `xbar mc
+//! shard` (the worker) and `xbar mc coordinate` (the campaign runner on
+//! the one-host local fleet). Parsing is `Result`-based: usage problems
+//! print help to stderr and return exit code 2.
 
-use super::coordinator::{
-    default_work_dir, default_worker, render_stats_json, render_timing_table,
-    run_coordinator_with_report, run_monolithic, CoordinatorConfig, RunReport, Worker,
-    DEFAULT_RETRY_BASE,
-};
+use super::coordinator::{run_monolithic, RunReport};
 use super::{partial::ShardPartial, run_shard, CampaignFlags, ShardSpec, CAMPAIGN_FLAGS_USAGE};
+use crate::launch::cli::{RunnerFlags, RUNNER_FLAGS_USAGE};
+use crate::launch::{run_launch_with_report, HostSpec, LocalProc};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -104,17 +102,21 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
     Ok(Some(out))
 }
 
-/// Returns true exactly once per marker path (creates the marker).
+/// Returns true exactly once per marker path: the marker's exclusive
+/// create picks one winner even among workers starting concurrently.
 fn first_time(marker: &PathBuf) -> bool {
-    if marker.exists() {
-        false
-    } else {
-        std::fs::write(marker, b"injected\n").expect("write marker");
-        true
+    match std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(marker)
+    {
+        Ok(_) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => false,
+        Err(e) => panic!("cannot create marker {}: {e}", marker.display()),
     }
 }
 
-/// `xbar mc shard` / legacy `mc_shard`: runs one contiguous slice of a
+/// `xbar mc shard`: runs one contiguous slice of a
 /// campaign and writes a self-describing partial file. Returns the
 /// process exit code.
 #[must_use]
@@ -193,7 +195,8 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
             .append(true)
             .open(dir.join("observed.txt"))
         {
-            let _ = writeln!(file, "{live}");
+            // One write per line: `writeln!` may split off the newline.
+            let _ = file.write_all(format!("{live}\n").as_bytes());
         }
     }
 
@@ -264,105 +267,47 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
 
 struct CoordinateArgs {
     campaign: CampaignFlags,
-    shards: usize,
-    max_attempts: usize,
-    out: PathBuf,
-    work_dir: Option<PathBuf>,
-    worker: Option<PathBuf>,
-    keep_partials: bool,
+    runner: RunnerFlags,
     in_process: bool,
-    shard_timeout: Option<Duration>,
     max_inflight: Option<usize>,
-    resume: bool,
-    worker_args: Vec<String>,
-}
-
-impl Default for CoordinateArgs {
-    fn default() -> Self {
-        Self {
-            campaign: CampaignFlags::default(),
-            shards: 3,
-            max_attempts: 3,
-            out: PathBuf::from("MC_merged.json"),
-            work_dir: None,
-            worker: None,
-            keep_partials: false,
-            in_process: false,
-            shard_timeout: None,
-            max_inflight: None,
-            resume: false,
-            worker_args: Vec::new(),
-        }
-    }
 }
 
 fn coordinate_usage() -> String {
     format!(
-        "xbar mc coordinate: fault-tolerant sharded Monte Carlo over worker processes\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n  \
-         --shards N         worker processes / sample-range shards (default 3)\n  \
-         --max-attempts N   attempts per shard before giving up (default 3)\n  \
-         --shard-timeout S  kill a worker still running after S seconds and retry\n                     \
-         (fractional ok; default: no watchdog, wait forever)\n  \
+        "xbar mc coordinate: fault-tolerant sharded Monte Carlo over local worker processes\n\n\
+         The campaign runner of `xbar mc launch` on the one-host fleet\n\
+         `local*N`: same checkpoints, lock, retries and merge.\n\nflags:\n\
+         {CAMPAIGN_FLAGS_USAGE}\n\
+         {RUNNER_FLAGS_USAGE}\n  \
          --max-inflight N   live workers at once (default: available parallelism)\n  \
-         --resume           reuse valid partials already in the run directory and\n                     \
-         schedule only missing or corrupt shards\n  \
-         --out PATH         merged stats artifact (default MC_merged.json)\n  \
-         --work-dir PATH    parent of the per-campaign run directory\n                     \
-         (default: <temp>/xbar-mc; partials live in\n                     \
-         <work-dir>/run-seed<seed>-n<samples>-k<shards>-<stream>[-<model>])\n  \
-         --worker PATH      worker binary, spawned with the shard flags directly\n                     \
-         (default: the xbar binary next to this one, via `mc shard`)\n  \
-         --worker-arg ARG   extra argument appended to every worker invocation\n                     \
-         (repeatable; used by fault-injection tests and CI)\n  \
-         --keep-partials    keep partial files after the merge\n  \
          --in-process       run monolithically (no processes) through the same\n                     \
          accumulators; output is byte-identical to a sharded run"
     )
 }
 
 fn parse_coordinate_args(args: Vec<String>) -> Result<Option<CoordinateArgs>, String> {
-    let mut out = CoordinateArgs::default();
+    let mut out = CoordinateArgs {
+        campaign: CampaignFlags::default(),
+        runner: RunnerFlags::default(),
+        in_process: false,
+        max_inflight: None,
+    };
     let mut it = args.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? {
+        if out.campaign.consume(&flag, &mut it)? || out.runner.consume(&flag, &mut it)? {
             continue;
         }
         match flag.as_str() {
-            "--shards" => out.shards = num(&flag, value(&flag, &mut it)?)?,
-            "--max-attempts" => out.max_attempts = num(&flag, value(&flag, &mut it)?)?,
-            "--shard-timeout" => {
-                let text = value(&flag, &mut it)?;
-                let secs: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-                let timeout = Duration::try_from_secs_f64(secs)
-                    .map_err(|_| format!("{flag}: {secs} is not a representable duration"))?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                out.shard_timeout = Some(timeout);
-            }
             "--max-inflight" => {
-                let inflight = num(&flag, value(&flag, &mut it)?)?;
+                let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                let inflight: usize = text
+                    .parse()
+                    .map_err(|_| format!("{flag}: expected a number, got {text:?}"))?;
                 if inflight == 0 {
                     return Err(format!("{flag} must be at least 1"));
                 }
                 out.max_inflight = Some(inflight);
             }
-            "--resume" => out.resume = true,
-            "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
-            "--work-dir" => out.work_dir = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker" => out.worker = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker-arg" => out.worker_args.push(value(&flag, &mut it)?),
-            "--keep-partials" => out.keep_partials = true,
             "--in-process" => out.in_process = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}; try --help")),
@@ -387,10 +332,10 @@ fn print_report(report: &RunReport) {
     );
 }
 
-/// `xbar mc coordinate` / legacy `mc_coordinator`: partitions a campaign
-/// across worker processes (or runs it monolithically with
-/// `--in-process`), merges partials, and writes the deterministic merged
-/// stats artifact. Returns the process exit code.
+/// `xbar mc coordinate`: runs a campaign through the campaign runner on
+/// the one-host fleet `local*N` (or monolithically with `--in-process`),
+/// and writes the deterministic merged stats artifact. Returns the
+/// process exit code.
 #[must_use]
 pub fn coordinate_main(argv: Vec<String>) -> i32 {
     let args = match parse_coordinate_args(argv) {
@@ -417,40 +362,29 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
         );
         run_monolithic(&config)
     } else {
-        let worker = match args
-            .worker
-            .clone()
-            .map_or_else(default_worker, |path| Ok(Worker::standalone(path)))
-        {
-            Ok(worker) => worker,
+        // A one-host fleet: the slot count is the inflight bound, and
+        // LaunchConfig::new never quarantines the only host there is.
+        let slots = args.max_inflight.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+        });
+        let fleet = vec![HostSpec::local(slots)];
+        let cfg = match args.runner.launch_config(config.clone(), fleet) {
+            Ok(cfg) => cfg,
             Err(e) => {
                 eprintln!("mc coordinate: {e}");
                 return 2;
             }
         };
-        let coordinator = CoordinatorConfig {
-            config: config.clone(),
-            shards: args.shards,
-            max_attempts: args.max_attempts,
-            worker,
-            work_dir: args.work_dir.clone().unwrap_or_else(default_work_dir),
-            extra_worker_args: args.worker_args.clone(),
-            keep_partials: args.keep_partials,
-            shard_timeout: args.shard_timeout,
-            max_inflight: args.max_inflight,
-            resume: args.resume,
-            retry_base: DEFAULT_RETRY_BASE,
-        };
         println!(
             "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
             config.samples,
-            coordinator.shards,
+            cfg.shards,
             config.seed,
             config.defect_rate * 100.0
         );
-        match run_coordinator_with_report(&coordinator) {
+        match run_launch_with_report(&cfg, &LocalProc) {
             Ok((merged, report)) => {
-                print_report(&report);
+                print_report(&report.base);
                 merged
             }
             Err(e) => {
@@ -460,12 +394,10 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
         }
     };
 
-    print!("{}", render_timing_table(&merged));
-    if let Err(e) = crate::atomic::write_atomic(&args.out, render_stats_json(&merged).as_bytes()) {
-        eprintln!("mc coordinate: cannot write {}: {e}", args.out.display());
+    if let Err(e) = args.runner.write_merged(&merged) {
+        eprintln!("mc coordinate: {e}");
         return 1;
     }
-    println!("wrote {}", args.out.display());
     0
 }
 
@@ -495,12 +427,12 @@ mod tests {
         let args = parse_coordinate_args(argv)
             .expect("parses")
             .expect("not help");
-        assert_eq!(args.shards, 5);
+        assert_eq!(args.runner.shards, 5);
         assert!(args.in_process);
         assert_eq!(args.campaign.seed, 7);
-        assert_eq!(args.shard_timeout, None, "watchdog defaults off");
+        assert_eq!(args.runner.shard_timeout, None, "watchdog defaults off");
         assert_eq!(args.max_inflight, None, "inflight defaults to auto");
-        assert!(!args.resume);
+        assert!(!args.runner.resume);
 
         let help = parse_coordinate_args(vec!["--help".to_owned()]).expect("ok");
         assert!(help.is_none(), "--help short-circuits");
@@ -525,10 +457,13 @@ mod tests {
         let args = parse_coordinate_args(argv)
             .expect("parses")
             .expect("not help");
-        assert_eq!(args.shard_timeout, Some(Duration::from_millis(2500)));
+        assert_eq!(args.runner.shard_timeout, Some(Duration::from_millis(2500)));
         assert_eq!(args.max_inflight, Some(4));
-        assert!(args.resume);
-        assert_eq!(args.worker_args, ["--inject-fail-once", "/tmp/marker"]);
+        assert!(args.runner.resume);
+        assert_eq!(
+            args.runner.worker_args,
+            ["--inject-fail-once", "/tmp/marker"]
+        );
     }
 
     #[test]

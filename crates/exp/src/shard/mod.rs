@@ -7,10 +7,13 @@
 //! and its [`ShardSpec`]. Each worker folds its slice into the mergeable
 //! accumulators of [`xbar_core::stats`] and writes a self-describing
 //! partial-result file ([`partial::ShardPartial`], hand-rolled JSON via
-//! [`json`]); the [`coordinator`] is a fault-tolerant campaign runner —
+//! [`json`]). The campaign runner ([`crate::launch::scheduler`]) —
 //! bounded event-driven scheduling, watchdog timeouts for hung workers,
 //! per-shard deterministic backoff retry, and checkpoint/resume over a
-//! per-campaign run directory — that merges partials into output
+//! per-campaign run directory — dispatches the workers; `xbar mc
+//! coordinate` ([`cli`]) is that runner on the local fleet `local*N`. The
+//! [`coordinator`] module holds what every run shares: the run
+//! directory, the backoff schedule, and the merge into output
 //! **byte-identical** to a monolithic run for every integer-derived
 //! statistic, whatever failures occurred along the way.
 //!
@@ -163,8 +166,9 @@ impl McConfig {
     }
 }
 
-/// Campaign-level CLI flags shared by the `mc_shard` and `mc_coordinator`
-/// binaries, so the two cannot drift apart on how a campaign is described.
+/// Campaign-level CLI flags shared by `xbar mc shard`, `mc coordinate`
+/// and `mc launch`, so they cannot drift apart on how a campaign is
+/// described.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignFlags {
     /// Total Monte Carlo samples (`--samples`, default 200).

@@ -503,27 +503,6 @@ fn describe_and_help_exit_0() {
 }
 
 #[test]
-fn legacy_shim_produces_byte_identical_artifacts() {
-    let flags = ["--quick", "--json", "--circuits", "rd53"];
-    let via_xbar = xbar(&["run", "table2", "--quick", "--json", "--circuits", "rd53"]);
-    assert!(via_xbar.status.success());
-    let shim = Command::new(env!("CARGO_BIN_EXE_table2_defect_tolerance"))
-        .args(flags)
-        .output()
-        .expect("spawn shim");
-    assert!(shim.status.success());
-    assert_eq!(
-        stdout(&via_xbar),
-        stdout(&shim),
-        "shim must delegate to the identical registry run"
-    );
-    assert!(
-        stderr(&shim).contains("deprecated"),
-        "shim must announce its replacement"
-    );
-}
-
-#[test]
 fn mc_coordinate_is_byte_identical_to_in_process_with_xbar_as_its_own_worker() {
     let dir = std::env::temp_dir().join(format!("xbar-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -532,7 +511,8 @@ fn mc_coordinate_is_byte_identical_to_in_process_with_xbar_as_its_own_worker() {
 
     // No --worker: default resolution finds the xbar binary next to the
     // running xbar and spawns it as `xbar mc shard` — the self-contained
-    // path production uses.
+    // path production uses. The --out lies inside the --work-dir: the
+    // runner removes only its own run directory, never the work dir.
     let sharded = xbar(&[
         "mc",
         "coordinate",
@@ -543,7 +523,7 @@ fn mc_coordinate_is_byte_identical_to_in_process_with_xbar_as_its_own_worker() {
         "--circuits",
         "rd53",
         "--work-dir",
-        dir.join("work").to_str().expect("utf8 path"),
+        dir.to_str().expect("utf8 path"),
         "--out",
         sharded_path.to_str().expect("utf8 path"),
     ]);

@@ -35,13 +35,13 @@ fn campaign() -> McConfig {
 }
 
 /// A unique scratch directory per test (no tempfile crate in the
-/// workspace); cleaned up by the launcher on success.
+/// workspace); the launcher cleans its run directory up on success.
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xbar-launch-test-{}-{tag}", std::process::id()))
 }
 
 /// A launch over the loopback fleet with test-friendly settings: the
-/// standalone worker binary, a scratch work dir, tiny retry backoff, and
+/// `xbar` worker binary, a scratch work dir, tiny retry backoff, and
 /// a probation long enough that a quarantined host never returns within
 /// the test.
 fn launch(tag: &str, hosts: &str) -> LaunchConfig {
@@ -49,7 +49,7 @@ fn launch(tag: &str, hosts: &str) -> LaunchConfig {
         config: campaign(),
         shards: 3,
         max_attempts: 3,
-        worker: Worker::standalone(PathBuf::from(env!("CARGO_BIN_EXE_mc_shard"))),
+        worker: Worker::xbar(PathBuf::from(env!("CARGO_BIN_EXE_xbar"))),
         work_dir: scratch(tag),
         extra_worker_args: Vec::new(),
         keep_partials: false,
@@ -343,8 +343,11 @@ fn cli_launch_artifact_is_byte_identical_to_xbar_run_even_under_faults() {
     assert!(mono.status.success(), "monolithic run: {}", stderr(&mono));
     let canonical = stdout(&mono);
 
-    // A clean 2-host loopback launch.
+    // A clean 2-host loopback launch, its --out inside its --work-dir:
+    // the runner removes only its own run directory, so the work dir
+    // survives the merge and the stats land there.
     let artifact = dir.join("clean-artifact.json");
+    let clean_stats = dir.join("clean-stats.json");
     let clean = xbar(
         &[
             &[
@@ -355,9 +358,9 @@ fn cli_launch_artifact_is_byte_identical_to_xbar_run_even_under_faults() {
                 "--shards",
                 "3",
                 "--work-dir",
-                dir.join("clean").to_str().expect("utf8"),
+                dir.to_str().expect("utf8"),
                 "--out",
-                dir.join("clean-stats.json").to_str().expect("utf8"),
+                clean_stats.to_str().expect("utf8"),
                 "--artifact",
                 artifact.to_str().expect("utf8"),
             ],
@@ -366,6 +369,11 @@ fn cli_launch_artifact_is_byte_identical_to_xbar_run_even_under_faults() {
         .concat(),
     );
     assert!(clean.status.success(), "clean launch: {}", stderr(&clean));
+    assert_eq!(
+        std::fs::read_to_string(&clean_stats).expect("stats"),
+        monolithic(),
+        "the launched stats must match the in-process bytes"
+    );
     assert_eq!(
         std::fs::read_to_string(&artifact).expect("artifact"),
         canonical,

@@ -132,6 +132,13 @@ fn served_artifact_is_byte_identical_to_xbar_run_and_repeats_hit_the_cache() {
         "{}",
         stderr_str(&cold)
     );
+    // A default daemon runs table2 on the campaign runner over its local
+    // fleet: the result line attributes the shard dispatches to `local`.
+    assert!(
+        stderr_str(&cold).contains("; hosts local:2"),
+        "the default fleet is `local`, one dispatch per shard: {}",
+        stderr_str(&cold)
+    );
 
     // Successful jobs clean their run directories up; only the cache
     // remains as durable state.
@@ -157,6 +164,10 @@ fn served_artifact_is_byte_identical_to_xbar_run_and_repeats_hit_the_cache() {
     let stats = stdout_str(&stats);
     assert!(stats.contains("\"cache_hits\": 1"), "{stats}");
     assert!(stats.contains("\"completed\": 1"), "{stats}");
+    assert!(
+        stats.contains("\"shard_spawned\": 2"),
+        "the sharded executor spawned the job's two shard workers: {stats}"
+    );
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&work_dir);
@@ -176,8 +187,8 @@ fn concurrent_submissions_never_exceed_the_worker_slot_bound() {
             "2",
             "--job-shards",
             "1",
-            "--job-max-inflight",
-            "1",
+            "--launcher",
+            "local*1",
             "--worker-arg",
             "--inject-slow-ms",
             "--worker-arg",
@@ -266,8 +277,8 @@ fn daemon_killed_mid_job_resumes_from_checkpoints_after_restart() {
         &[
             "--job-shards",
             "4",
-            "--job-max-inflight",
-            "1",
+            "--launcher",
+            "local*1",
             "--worker-arg",
             "--inject-slow-ms",
             "--worker-arg",
@@ -308,7 +319,7 @@ fn daemon_killed_mid_job_resumes_from_checkpoints_after_restart() {
     // the stale coordinator.lock of the dead daemon must be reclaimed,
     // the surviving partials reused, and the artifact still byte-equal to
     // a monolithic run.
-    let daemon = Daemon::start(&work_dir, &["--job-shards", "4", "--job-max-inflight", "1"]);
+    let daemon = Daemon::start(&work_dir, &["--job-shards", "4", "--launcher", "local*1"]);
     let resumed = daemon.submit(&[&submit_args[..], &["--wait"]].concat());
     assert!(resumed.status.success(), "{resumed:?}");
     let note = stderr_str(&resumed);
@@ -453,8 +464,8 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
         &[
             "--job-shards",
             "4",
-            "--job-max-inflight",
-            "1",
+            "--launcher",
+            "local*1",
             "--worker-arg",
             "--inject-slow-ms",
             "--worker-arg",
@@ -505,7 +516,7 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
             if let Some(daemon) = Daemon::try_start_at(
                 &work_dir,
                 &addr,
-                &["--job-shards", "4", "--job-max-inflight", "1"],
+                &["--job-shards", "4", "--launcher", "local*1"],
             ) {
                 break daemon;
             }

@@ -1,6 +1,6 @@
 //! Process-level tests of the sharded Monte Carlo subsystem: the
-//! fault-tolerant coordinator spawning real worker processes
-//! (`CARGO_BIN_EXE_mc_shard` / `CARGO_BIN_EXE_xbar`), killing hung
+//! campaign runner on the one-host local fleet (what `xbar mc coordinate`
+//! runs) spawning real `xbar mc shard` worker processes, killing hung
 //! workers at the watchdog deadline, bounding in-flight concurrency,
 //! resuming from checkpoints after a `kill -9`, and always producing a
 //! merged stats artifact byte-identical to the monolithic in-process run.
@@ -9,17 +9,16 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
+use xbar_exp::launch::pool::DEFAULT_PROBATION;
+use xbar_exp::launch::{run_launch_with_report, HostSpec, LaunchConfig, LocalProc};
 use xbar_exp::shard::coordinator::{
-    campaign_run_dir, render_stats_json, run_coordinator, run_coordinator_with_report,
-    run_monolithic, CoordinatorConfig, Worker,
+    campaign_run_dir, render_stats_json, run_monolithic, MergedResult, RunReport, Worker,
 };
 use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::McConfig;
 
 fn worker_binary() -> Worker {
-    // The legacy standalone worker shim; the `xbar mc shard` path is
-    // exercised by crates/exp/tests/cli.rs and the kill/resume test below.
-    Worker::standalone(PathBuf::from(env!("CARGO_BIN_EXE_mc_shard")))
+    Worker::xbar(PathBuf::from(env!("CARGO_BIN_EXE_xbar")))
 }
 
 fn campaign() -> McConfig {
@@ -34,27 +33,34 @@ fn campaign() -> McConfig {
 }
 
 /// A unique scratch directory per test (no tempfile crate in the
-/// workspace); cleaned up by the coordinator on success.
+/// workspace); the runner removes only its run directory beneath it.
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xbar-shard-test-{}-{tag}", std::process::id()))
 }
 
-fn coordinator(tag: &str, shards: usize) -> CoordinatorConfig {
-    CoordinatorConfig {
-        config: campaign(),
+/// The runner configuration `xbar mc coordinate` builds: the one-host
+/// local fleet with one slot per core.
+fn coordinator(tag: &str, shards: usize) -> LaunchConfig {
+    let slots = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+    let mut cfg = LaunchConfig::new(
+        campaign(),
         shards,
-        max_attempts: 3,
-        worker: worker_binary(),
-        work_dir: scratch(tag),
-        extra_worker_args: Vec::new(),
-        keep_partials: false,
-        shard_timeout: None,
-        max_inflight: None,
-        resume: false,
-        // Tiny backoff: retry-path tests stay fast without changing the
-        // deterministic shape of the schedule.
-        retry_base: Duration::from_millis(5),
-    }
+        vec![HostSpec::local(slots)],
+        worker_binary(),
+    );
+    cfg.work_dir = scratch(tag);
+    // Tiny backoff: retry-path tests stay fast without changing the
+    // deterministic shape of the schedule.
+    cfg.retry_base = Duration::from_millis(5);
+    cfg
+}
+
+fn run_local_with_report(cfg: &LaunchConfig) -> Result<(MergedResult, RunReport), String> {
+    run_launch_with_report(cfg, &LocalProc).map(|(merged, report)| (merged, report.base))
+}
+
+fn run_local(cfg: &LaunchConfig) -> Result<MergedResult, String> {
+    run_local_with_report(cfg).map(|(merged, _)| merged)
 }
 
 #[test]
@@ -62,12 +68,13 @@ fn sharded_runs_are_byte_identical_to_monolithic_across_shard_counts() {
     let mono = render_stats_json(&run_monolithic(&campaign()));
     for shards in [1usize, 2, 3, 7] {
         let cfg = coordinator(&format!("counts-{shards}"), shards);
-        let merged = run_coordinator(&cfg).expect("coordinator run");
+        let merged = run_local(&cfg).expect("coordinator run");
         assert_eq!(
             render_stats_json(&merged),
             mono,
             "{shards} worker processes must reproduce the monolithic artifact"
         );
+        let _ = std::fs::remove_dir_all(&cfg.work_dir);
     }
 }
 
@@ -90,8 +97,9 @@ fn v2_campaigns_shard_byte_identically_too() {
     assert_ne!(mono, v1_mono, "V2 draws different defect maps than V1");
     let mut cfg = coordinator("v2-stream", 3);
     cfg.config = config;
-    let merged = run_coordinator(&cfg).expect("coordinator run");
+    let merged = run_local(&cfg).expect("coordinator run");
     assert_eq!(render_stats_json(&merged), mono);
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
@@ -122,12 +130,13 @@ fn clustered_campaigns_shard_byte_identically_through_real_workers() {
     );
     let mut cfg = coordinator("clustered-model", 3);
     cfg.config = config;
-    let merged = run_coordinator(&cfg).expect("coordinator run");
+    let merged = run_local(&cfg).expect("coordinator run");
     assert_eq!(
         render_stats_json(&merged),
         mono,
         "3 worker processes must reproduce the monolithic clustered artifact"
     );
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
@@ -141,9 +150,10 @@ fn empty_shards_need_no_workers_and_merge_cleanly() {
     let mono = render_stats_json(&run_monolithic(&config));
     let mut cfg = coordinator("empty-shards", 7);
     cfg.config = config;
-    let (merged, report) = run_coordinator_with_report(&cfg).expect("coordinator run");
+    let (merged, report) = run_local_with_report(&cfg).expect("coordinator run");
     assert_eq!(render_stats_json(&merged), mono);
     assert_eq!(report.spawned, 4, "only non-empty shards spawn workers");
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
@@ -156,7 +166,7 @@ fn coordinator_retries_a_crashing_shard_and_still_matches() {
         "--inject-fail-once".to_owned(),
         marker.to_string_lossy().into_owned(),
     ];
-    let (merged, report) = run_coordinator_with_report(&cfg).expect("retry must recover");
+    let (merged, report) = run_local_with_report(&cfg).expect("retry must recover");
     assert_eq!(render_stats_json(&merged), mono);
     assert!(report.retries >= 1, "{report:?}");
     let _ = std::fs::remove_file(&marker);
@@ -173,7 +183,7 @@ fn coordinator_retries_a_torn_partial_and_still_matches() {
         "--inject-truncate-once".to_owned(),
         marker.to_string_lossy().into_owned(),
     ];
-    let merged = run_coordinator(&cfg).expect("retry must recover");
+    let merged = run_local(&cfg).expect("retry must recover");
     assert_eq!(render_stats_json(&merged), mono);
     let _ = std::fs::remove_file(&marker);
     let _ = std::fs::remove_dir(&cfg.work_dir);
@@ -194,7 +204,7 @@ fn hung_worker_is_killed_at_the_deadline_and_retried() {
         marker.to_string_lossy().into_owned(),
     ];
     let start = Instant::now();
-    let (merged, report) = run_coordinator_with_report(&cfg).expect("watchdog must recover");
+    let (merged, report) = run_local_with_report(&cfg).expect("watchdog must recover");
     assert_eq!(render_stats_json(&merged), mono);
     assert_eq!(report.timeouts, 1, "{report:?}");
     assert!(report.retries >= 1, "{report:?}");
@@ -214,11 +224,12 @@ fn slow_but_finishing_worker_is_not_killed() {
     let mut cfg = coordinator("slow-ok", 2);
     cfg.shard_timeout = Some(Duration::from_secs(60));
     cfg.extra_worker_args = vec!["--inject-slow-ms".to_owned(), "150".to_owned()];
-    let (merged, report) = run_coordinator_with_report(&cfg).expect("slow run");
+    let (merged, report) = run_local_with_report(&cfg).expect("slow run");
     assert_eq!(render_stats_json(&merged), mono);
     assert_eq!(report.timeouts, 0, "{report:?}");
     assert_eq!(report.retries, 0, "{report:?}");
     assert_eq!(report.spawned, 2, "{report:?}");
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
@@ -234,7 +245,7 @@ fn inflight_workers_never_exceed_max_inflight() {
     let mono = render_stats_json(&run_monolithic(&config));
     let mut cfg = coordinator("inflight", 5);
     cfg.config = config;
-    cfg.max_inflight = Some(2);
+    cfg.hosts = vec![HostSpec::local(2)];
     let obs_dir = cfg.work_dir.join("concurrency");
     cfg.extra_worker_args = vec![
         "--inject-slow-ms".to_owned(),
@@ -242,7 +253,7 @@ fn inflight_workers_never_exceed_max_inflight() {
         "--inject-concurrency-dir".to_owned(),
         obs_dir.to_string_lossy().into_owned(),
     ];
-    let (merged, report) = run_coordinator_with_report(&cfg).expect("bounded run");
+    let (merged, report) = run_local_with_report(&cfg).expect("bounded run");
     assert_eq!(render_stats_json(&merged), mono);
     assert_eq!(
         report.max_inflight_observed, 2,
@@ -269,7 +280,7 @@ fn resume_reuses_valid_partials_and_schedules_only_the_rest() {
     let mono = render_stats_json(&run_monolithic(&campaign()));
     let mut cfg = coordinator("resume", 3);
     cfg.keep_partials = true;
-    let (first, r1) = run_coordinator_with_report(&cfg).expect("first run");
+    let (first, r1) = run_local_with_report(&cfg).expect("first run");
     assert_eq!(render_stats_json(&first), mono);
     assert_eq!(r1.spawned, 3);
     assert_eq!(r1.reused, 0);
@@ -280,7 +291,7 @@ fn resume_reuses_valid_partials_and_schedules_only_the_rest() {
 
     cfg.resume = true;
     cfg.keep_partials = false;
-    let (second, r2) = run_coordinator_with_report(&cfg).expect("resumed run");
+    let (second, r2) = run_local_with_report(&cfg).expect("resumed run");
     assert_eq!(
         render_stats_json(&second),
         mono,
@@ -288,6 +299,7 @@ fn resume_reuses_valid_partials_and_schedules_only_the_rest() {
     );
     assert_eq!(r2.reused, 1, "{r2:?}");
     assert_eq!(r2.spawned, 2, "{r2:?}");
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
@@ -373,25 +385,12 @@ fn resume_after_coordinator_kill_finishes_the_campaign_with_identical_bytes() {
         .lines()
         .find(|line| line.starts_with("coordinator:"))
         .expect("report line");
-    // The report reads "coordinator: spawned 2 worker(s), reused 2
-    // partial(s), ..." — the count follows its verb.
-    let field = |key: &str| -> usize {
-        let tokens: Vec<&str> = report_line
-            .split([' ', ','])
-            .filter(|t| !t.is_empty())
-            .collect();
-        tokens
-            .windows(2)
-            .find(|pair| pair[0] == key)
-            .and_then(|pair| pair[1].parse().ok())
-            .unwrap_or_else(|| panic!("no `{key}` count in {report_line:?}"))
-    };
     assert!(
-        field("reused") >= 1,
+        report_count(report_line, "partial") >= 1,
         "the killed run's checkpoints must be reused: {report_line:?}"
     );
     assert!(
-        field("spawned") < 4,
+        report_count(report_line, "worker") < 4,
         "resume must spawn fewer workers than a fresh campaign: {report_line:?}"
     );
     let merged = std::fs::read_to_string(&out2).expect("resumed artifact");
@@ -498,11 +497,11 @@ fn a_run_dir_claimed_by_a_different_campaign_is_rejected() {
     // refuse to clobber the first campaign's partials.
     let mut cfg = coordinator("campaign-clash", 2);
     cfg.keep_partials = true;
-    let _ = run_coordinator(&cfg).expect("first campaign");
+    let _ = run_local(&cfg).expect("first campaign");
 
     let mut other = coordinator("campaign-clash", 2);
     other.config.defect_rate = 0.25;
-    let err = run_coordinator(&other).expect_err("must refuse");
+    let err = run_local(&other).expect_err("must refuse");
     assert!(err.contains("different campaign"), "{err}");
     assert!(err.contains("defect_rate"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
@@ -512,7 +511,7 @@ fn a_run_dir_claimed_by_a_different_campaign_is_rejected() {
 fn permanently_failing_shard_surfaces_an_error_not_a_hang() {
     let mut cfg = coordinator("fail-always", 2);
     cfg.extra_worker_args = vec!["--inject-fail-always".to_owned()];
-    let err = run_coordinator(&cfg).expect_err("must give up");
+    let err = run_local(&cfg).expect_err("must give up");
     assert!(err.contains("failed permanently"), "{err}");
     assert!(err.contains("attempt"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
@@ -521,8 +520,8 @@ fn permanently_failing_shard_surfaces_an_error_not_a_hang() {
 #[test]
 fn missing_worker_binary_is_a_clear_error() {
     let mut cfg = coordinator("no-worker", 2);
-    cfg.worker = Worker::standalone(PathBuf::from("/nonexistent/mc_shard"));
-    let err = run_coordinator(&cfg).expect_err("must fail");
+    cfg.worker = Worker::xbar(PathBuf::from("/nonexistent/xbar"));
+    let err = run_local(&cfg).expect_err("must fail");
     assert!(err.contains("failed permanently"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
@@ -531,6 +530,97 @@ fn missing_worker_binary_is_a_clear_error() {
 fn unknown_circuit_fails_before_spawning_anything() {
     let mut cfg = coordinator("bad-circuit", 2);
     cfg.config.circuits = vec!["not-a-circuit".to_owned()];
-    let err = run_coordinator(&cfg).expect_err("must fail");
+    let err = run_local(&cfg).expect_err("must fail");
     assert!(err.contains("not-a-circuit"), "{err}");
+}
+
+/// The count before the `key` noun in a `coordinator: spawned 2
+/// worker(s), reused 2 partial(s), 3 retrie(s), 1 timeout(s), ...`
+/// report line.
+fn report_count(line: &str, key: &str) -> usize {
+    let tokens: Vec<&str> = line.split([' ', ',']).filter(|t| !t.is_empty()).collect();
+    tokens
+        .windows(2)
+        .find(|pair| pair[1].starts_with(key))
+        .and_then(|pair| pair[0].parse().ok())
+        .unwrap_or_else(|| panic!("no `{key}` count in {line:?}"))
+}
+
+#[test]
+fn one_host_fleet_never_quarantines_its_only_host() {
+    // `local` fails three times in a row: a crash, a hang the watchdog
+    // kills, and a torn partial (serialized by --max-inflight 1). A
+    // multi-host fleet would quarantine a host after three consecutive
+    // failures and sit out DEFAULT_PROBATION; the one-host fleet has
+    // nowhere to fail over to, so it must retry straight through.
+    let dir = scratch("one-host-faults");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = dir.join("merged.json");
+    let marker = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (fail, hang, torn) = (marker("fail"), marker("hang"), marker("torn"));
+    let start = Instant::now();
+    let run = Command::new(env!("CARGO_BIN_EXE_xbar"))
+        .args([
+            "mc",
+            "coordinate",
+            "--samples",
+            "30",
+            "--circuits",
+            "rd53",
+            "--shards",
+            "3",
+            "--max-inflight",
+            "1",
+            "--max-attempts",
+            "4",
+            "--shard-timeout",
+            "3",
+            "--worker-arg",
+            "--inject-fail-once",
+            "--worker-arg",
+            &fail,
+            "--worker-arg",
+            "--inject-hang-once",
+            "--worker-arg",
+            &hang,
+            "--worker-arg",
+            "--inject-truncate-once",
+            "--worker-arg",
+            &torn,
+        ])
+        .arg("--work-dir")
+        .arg(dir.join("work"))
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn xbar");
+    let elapsed = start.elapsed();
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(
+        elapsed < DEFAULT_PROBATION / 2,
+        "three straight failures must not sit out a probation: {elapsed:?}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&out).expect("artifact"),
+        render_stats_json(&run_monolithic(&campaign())),
+        "the faulty campaign must still merge to the monolithic bytes"
+    );
+    let line = stdout
+        .lines()
+        .find(|line| line.starts_with("coordinator:"))
+        .expect("report line");
+    assert_eq!(report_count(line, "timeout"), 1, "one hang: {line}");
+    assert_eq!(report_count(line, "retrie"), 3, "three failures: {line}");
+    assert_eq!(
+        report_count(line, "worker"),
+        6,
+        "three failed + three good: {line}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
