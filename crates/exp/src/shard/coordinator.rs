@@ -301,11 +301,7 @@ pub fn backoff_delay(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 /// participate in [`campaign_mismatch`]: the same campaign may be resumed
 /// with a different host fleet, and manifests written before host
 /// attribution existed still resume.
-pub(crate) fn render_campaign_manifest(
-    config: &McConfig,
-    shards: usize,
-    hosts: &[String],
-) -> String {
+pub fn render_campaign_manifest(config: &McConfig, shards: usize, hosts: &[String]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"{CAMPAIGN_SCHEMA}\",");
     let _ = writeln!(out, "  \"seed\": {},", config.seed);
