@@ -22,7 +22,7 @@ pub use params::{
 };
 pub use registry::{find_experiment, registry};
 
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use std::fmt;
 
@@ -87,13 +87,13 @@ pub trait Experiment: Sync {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
     /// Experiment-specific payload (an insertion-ordered object).
-    pub data: JsonValue,
+    pub data: Json,
 }
 
 impl Artifact {
     /// Wraps an experiment's data tree.
     #[must_use]
-    pub fn new(data: JsonValue) -> Self {
+    pub fn new(data: Json) -> Self {
         Self { data }
     }
 
@@ -102,9 +102,9 @@ impl Artifact {
     /// echo, and the data payload, with a trailing newline (file-ready).
     #[must_use]
     pub fn render(&self, exp: &dyn Experiment, params: &Params) -> String {
-        let doc = JsonValue::obj([
-            ("schema", JsonValue::str(ARTIFACT_SCHEMA)),
-            ("experiment", JsonValue::str(exp.name())),
+        let doc = Json::obj([
+            ("schema", Json::str(ARTIFACT_SCHEMA)),
+            ("experiment", Json::str(exp.name())),
             ("params", params.to_json(exp.extra_params())),
             ("data", self.data.clone()),
         ]);
@@ -236,10 +236,7 @@ mod tests {
 
         fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
             reporter.line("running");
-            Ok(Artifact::new(JsonValue::obj([(
-                "seed",
-                JsonValue::u64(params.seed),
-            )])))
+            Ok(Artifact::new(Json::obj([("seed", Json::u64(params.seed))])))
         }
     }
 

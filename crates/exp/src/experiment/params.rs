@@ -8,7 +8,7 @@
 //! [`UsageError`] the driver turns into usage text and exit code 2, never
 //! a panic/backtrace.
 
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -83,14 +83,14 @@ pub enum ParamValue {
 }
 
 impl ParamValue {
-    fn to_json(&self) -> JsonValue {
+    fn to_json(&self) -> Json {
         match self {
-            ParamValue::USize(v) => JsonValue::usize(*v),
-            ParamValue::U64(v) => JsonValue::u64(*v),
-            ParamValue::F64(v) => JsonValue::f64(*v),
-            ParamValue::Flag(v) => JsonValue::Bool(*v),
-            ParamValue::Str(v) => JsonValue::str(v.clone()),
-            ParamValue::StrList(v) => JsonValue::arr(v.iter().map(|s| JsonValue::str(s.clone()))),
+            ParamValue::USize(v) => Json::usize(*v),
+            ParamValue::U64(v) => Json::u64(*v),
+            ParamValue::F64(v) => Json::f64(*v),
+            ParamValue::Flag(v) => Json::Bool(*v),
+            ParamValue::Str(v) => Json::str(v.clone()),
+            ParamValue::StrList(v) => Json::arr(v.iter().map(|s| Json::str(s.clone()))),
         }
     }
 }
@@ -524,11 +524,11 @@ impl Params {
     /// excluded so artifacts stay byte-identical across hosts and
     /// invocation styles.
     #[must_use]
-    pub fn to_json(&self, extra: &[ParamSpec]) -> JsonValue {
+    pub fn to_json(&self, extra: &[ParamSpec]) -> Json {
         let mut fields = vec![
-            ("samples".to_owned(), JsonValue::usize(self.samples)),
-            ("seed".to_owned(), JsonValue::u64(self.seed)),
-            ("defect_rate".to_owned(), JsonValue::f64(self.defect_rate)),
+            ("samples".to_owned(), Json::usize(self.samples)),
+            ("seed".to_owned(), Json::u64(self.seed)),
+            ("defect_rate".to_owned(), Json::f64(self.defect_rate)),
         ];
         for s in extra {
             let value = self
@@ -549,7 +549,7 @@ impl Params {
             }
             fields.push((s.name.replace('-', "_"), value.to_json()));
         }
-        JsonValue::Obj(fields)
+        Json::Obj(fields)
     }
 
     /// Renders the auto-generated usage text for an experiment: common

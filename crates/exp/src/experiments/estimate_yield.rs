@@ -7,7 +7,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use xbar_core::{estimate_yield, FunctionMatrix, MapperKind, YieldConfig};
 use xbar_logic::bench_reg::find;
@@ -138,17 +138,17 @@ impl Experiment for EstimateYieldExperiment {
         reporter.table(&table);
         write_csv_if_requested(params, reporter, &table)?;
 
-        let data = JsonValue::obj([
-            ("circuit", JsonValue::str(circuit)),
-            ("rows", JsonValue::usize(fm.num_rows())),
-            ("cols", JsonValue::usize(fm.num_cols())),
-            ("spare_rows", JsonValue::usize(spare_rows)),
-            ("mapper", JsonValue::str(params.str("mapper"))),
-            ("successes", JsonValue::usize(result.successes)),
-            ("samples", JsonValue::usize(result.samples)),
-            ("success_rate", JsonValue::f64(result.success_rate)),
-            ("area", JsonValue::usize(result.area)),
-            ("area_overhead", JsonValue::f64(result.area_overhead)),
+        let data = Json::obj([
+            ("circuit", Json::str(circuit)),
+            ("rows", Json::usize(fm.num_rows())),
+            ("cols", Json::usize(fm.num_cols())),
+            ("spare_rows", Json::usize(spare_rows)),
+            ("mapper", Json::str(params.str("mapper"))),
+            ("successes", Json::usize(result.successes)),
+            ("samples", Json::usize(result.samples)),
+            ("success_rate", Json::f64(result.success_rate)),
+            ("area", Json::usize(result.area)),
+            ("area_overhead", Json::f64(result.area_overhead)),
         ]);
         Ok(Artifact::new(data))
     }

@@ -11,7 +11,7 @@ use crate::experiment::{
     Reporter, RNG_STREAM_PARAM,
 };
 use crate::mc::monte_carlo_with;
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,17 +160,17 @@ impl Experiment for ExtAblationHbaExperiment {
         );
         write_csv_if_requested(params, reporter, &table)?;
 
-        let data = JsonValue::obj([(
+        let data = Json::obj([(
             "circuits",
-            JsonValue::arr(circuit_counts.iter().map(|(name, total, sum)| {
-                JsonValue::obj([
-                    ("name", JsonValue::str(name.clone())),
-                    ("samples", JsonValue::usize(*total)),
-                    ("hba_full", JsonValue::usize(sum.full)),
-                    ("no_backtrack", JsonValue::usize(sum.no_backtrack)),
-                    ("greedy_outputs", JsonValue::usize(sum.greedy_outputs)),
-                    ("exact", JsonValue::usize(sum.exact)),
-                    ("feasible", JsonValue::usize(sum.feasible)),
+            Json::arr(circuit_counts.iter().map(|(name, total, sum)| {
+                Json::obj([
+                    ("name", Json::str(name.clone())),
+                    ("samples", Json::usize(*total)),
+                    ("hba_full", Json::usize(sum.full)),
+                    ("no_backtrack", Json::usize(sum.no_backtrack)),
+                    ("greedy_outputs", Json::usize(sum.greedy_outputs)),
+                    ("exact", Json::usize(sum.exact)),
+                    ("feasible", Json::usize(sum.feasible)),
                 ])
             })),
         )]);

@@ -4,7 +4,7 @@
 //! bounds practical row widths.
 
 use crate::experiment::{Artifact, ExpError, Experiment, Params, Reporter};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use xbar_device::analog::{row_nand_read, ReadConfig};
 use xbar_device::{Crossbar, ProgramState};
@@ -122,32 +122,29 @@ impl Experiment for ExtAnalogValidationExperiment {
             .line("(sneak paths), but the decisions stay correct at the sizes the paper maps —");
         reporter.line("the digital abstraction used by the mapping experiments is sound.");
 
-        let data = JsonValue::obj([
+        let data = Json::obj([
             (
                 "nand_agreement",
-                JsonValue::obj([
-                    ("agree", JsonValue::usize(agree)),
-                    ("total", JsonValue::usize(total)),
-                ]),
+                Json::obj([("agree", Json::usize(agree)), ("total", Json::usize(total))]),
             ),
             (
                 "margin_vs_fanin",
-                JsonValue::arr(fanin_points.iter().map(|(fanin, v, m, wrong)| {
-                    JsonValue::obj([
-                        ("fanin", JsonValue::usize(*fanin)),
-                        ("row_voltage", JsonValue::f64(*v)),
-                        ("margin", JsonValue::f64(*m)),
-                        ("decision_correct", JsonValue::Bool(!*wrong)),
+                Json::arr(fanin_points.iter().map(|(fanin, v, m, wrong)| {
+                    Json::obj([
+                        ("fanin", Json::usize(*fanin)),
+                        ("row_voltage", Json::f64(*v)),
+                        ("margin", Json::f64(*m)),
+                        ("decision_correct", Json::Bool(!*wrong)),
                     ])
                 })),
             ),
             (
                 "margin_vs_array_size",
-                JsonValue::arr(sneak_points.iter().map(|(size, v, m)| {
-                    JsonValue::obj([
-                        ("array_size", JsonValue::usize(*size)),
-                        ("row_voltage", JsonValue::f64(*v)),
-                        ("margin", JsonValue::f64(*m)),
+                Json::arr(sneak_points.iter().map(|(size, v, m)| {
+                    Json::obj([
+                        ("array_size", Json::usize(*size)),
+                        ("row_voltage", Json::f64(*v)),
+                        ("margin", Json::f64(*m)),
                     ])
                 })),
             ),

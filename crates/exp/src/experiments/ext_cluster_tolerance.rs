@@ -15,7 +15,7 @@ use crate::experiment::{
     Reporter, RNG_STREAM_PARAM,
 };
 use crate::experiments::table2::run_circuit_range_on;
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use xbar_core::{DefectModelKind, DefectModelSpec};
 use xbar_logic::bench_reg::find;
@@ -97,18 +97,18 @@ impl Experiment for ExtClusterToleranceExperiment {
         reporter.line("         mapper — the HBA-EA gap never widens with correlation.");
         write_csv_if_requested(params, reporter, &table)?;
 
-        let data = JsonValue::obj([
-            ("circuit", JsonValue::str(circuit)),
-            ("products", JsonValue::usize(cover.len())),
-            ("defect_rate", JsonValue::f64(params.defect_rate)),
+        let data = Json::obj([
+            ("circuit", Json::str(circuit)),
+            ("products", Json::usize(cover.len())),
+            ("defect_rate", Json::f64(params.defect_rate)),
             (
                 "sweep",
-                JsonValue::arr(sweep.iter().map(|(size, accum)| {
-                    JsonValue::obj([
-                        ("cluster_size", JsonValue::f64(*size)),
-                        ("hba_successes", JsonValue::u64(accum.hba.successes)),
-                        ("ea_successes", JsonValue::u64(accum.ea.successes)),
-                        ("samples", JsonValue::u64(accum.samples())),
+                Json::arr(sweep.iter().map(|(size, accum)| {
+                    Json::obj([
+                        ("cluster_size", Json::f64(*size)),
+                        ("hba_successes", Json::u64(accum.hba.successes)),
+                        ("ea_successes", Json::u64(accum.ea.successes)),
+                        ("samples", Json::u64(accum.samples())),
                     ])
                 })),
             ),

@@ -6,7 +6,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use xbar_core::{column_redundancy_yield, FunctionMatrix, MapperKind};
 use xbar_logic::bench_reg::find;
@@ -101,18 +101,18 @@ impl Experiment for ExtColumnRedundancyExperiment {
         reporter.line("paper's §VI identifies.");
         write_csv_if_requested(params, reporter, &table)?;
 
-        let data = JsonValue::obj([
-            ("circuit", JsonValue::str(circuit)),
-            ("stuck_closed_fraction", JsonValue::f64(closed_fraction)),
-            ("samples_per_cell", JsonValue::usize(params.samples)),
+        let data = Json::obj([
+            ("circuit", Json::str(circuit)),
+            ("stuck_closed_fraction", Json::f64(closed_fraction)),
+            ("samples_per_cell", Json::usize(params.samples)),
             (
                 "cells",
-                JsonValue::arr(cells.iter().map(|(rate, sr, sc, y)| {
-                    JsonValue::obj([
-                        ("defect_rate", JsonValue::f64(*rate)),
-                        ("spare_rows", JsonValue::usize(*sr)),
-                        ("spare_cols", JsonValue::usize(*sc)),
-                        ("success_rate", JsonValue::f64(*y)),
+                Json::arr(cells.iter().map(|(rate, sr, sc, y)| {
+                    Json::obj([
+                        ("defect_rate", Json::f64(*rate)),
+                        ("spare_rows", Json::usize(*sr)),
+                        ("spare_cols", Json::usize(*sc)),
+                        ("success_rate", Json::f64(*y)),
                     ])
                 })),
             ),

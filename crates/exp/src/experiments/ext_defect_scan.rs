@@ -10,7 +10,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -157,43 +157,43 @@ impl Experiment for ExtDefectScanExperiment {
             )));
         }
 
-        let data = JsonValue::obj([
-            ("circuit", JsonValue::str(circuit)),
+        let data = Json::obj([
+            ("circuit", Json::str(circuit)),
             (
                 "scan_costs",
-                JsonValue::obj([
+                Json::obj([
                     (
                         "cell_by_cell",
-                        JsonValue::obj([
-                            ("write_ops", JsonValue::usize(cell.write_ops)),
-                            ("read_ops", JsonValue::usize(cell.read_ops)),
-                            ("exact", JsonValue::Bool(cell_exact)),
+                        Json::obj([
+                            ("write_ops", Json::usize(cell.write_ops)),
+                            ("read_ops", Json::usize(cell.read_ops)),
+                            ("exact", Json::Bool(cell_exact)),
                         ]),
                     ),
                     (
                         "march",
-                        JsonValue::obj([
-                            ("write_ops", JsonValue::usize(march.write_ops)),
-                            ("read_ops", JsonValue::usize(march.read_ops)),
-                            ("exact", JsonValue::Bool(march_exact)),
+                        Json::obj([
+                            ("write_ops", Json::usize(march.write_ops)),
+                            ("read_ops", Json::usize(march.read_ops)),
+                            ("exact", Json::Bool(march_exact)),
                         ]),
                     ),
                 ]),
             ),
             (
                 "measured_map",
-                JsonValue::obj([
-                    ("functional", JsonValue::usize(functional)),
-                    ("stuck_open", JsonValue::usize(open)),
-                    ("stuck_closed", JsonValue::usize(closed)),
+                Json::obj([
+                    ("functional", Json::usize(functional)),
+                    ("stuck_open", Json::usize(open)),
+                    ("stuck_closed", Json::usize(closed)),
                 ]),
             ),
             (
                 "closed_loop",
-                JsonValue::obj([
-                    ("attempted", JsonValue::usize(attempted)),
-                    ("mapped", JsonValue::usize(mapped)),
-                    ("verified", JsonValue::usize(verified)),
+                Json::obj([
+                    ("attempted", Json::usize(attempted)),
+                    ("mapped", Json::usize(mapped)),
+                    ("verified", Json::usize(verified)),
                 ]),
             ),
         ]);

@@ -12,7 +12,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, CLUSTER_SIZE_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use xbar_core::{
     estimate_yield, DefectModelKind, DefectModelSpec, FunctionMatrix, MapperKind, YieldConfig,
@@ -118,22 +118,22 @@ impl Experiment for ExtModelYieldExperiment {
         reporter.line("         line faults ignore the cell rate, and composite is the floor.");
         write_csv_if_requested(params, reporter, &table)?;
 
-        let data = JsonValue::obj([
-            ("circuit", JsonValue::str(circuit)),
-            ("rows", JsonValue::usize(fm.num_rows())),
-            ("cols", JsonValue::usize(fm.num_cols())),
+        let data = Json::obj([
+            ("circuit", Json::str(circuit)),
+            ("rows", Json::usize(fm.num_rows())),
+            ("cols", Json::usize(fm.num_cols())),
             (
                 "models",
-                JsonValue::arr(sweep.iter().map(|(kind, cells)| {
-                    JsonValue::obj([
-                        ("model", JsonValue::str(kind.as_str())),
+                Json::arr(sweep.iter().map(|(kind, cells)| {
+                    Json::obj([
+                        ("model", Json::str(kind.as_str())),
                         (
                             "sweep",
-                            JsonValue::arr(cells.iter().map(|(rate, successes, samples)| {
-                                JsonValue::obj([
-                                    ("defect_rate", JsonValue::f64(*rate)),
-                                    ("successes", JsonValue::u64(*successes)),
-                                    ("samples", JsonValue::u64(*samples)),
+                            Json::arr(cells.iter().map(|(rate, successes, samples)| {
+                                Json::obj([
+                                    ("defect_rate", Json::f64(*rate)),
+                                    ("successes", Json::u64(*successes)),
+                                    ("samples", Json::u64(*samples)),
                                 ])
                             })),
                         ),

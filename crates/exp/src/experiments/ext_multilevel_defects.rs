@@ -12,7 +12,7 @@ use crate::experiment::{
     Reporter, RNG_STREAM_PARAM,
 };
 use crate::mc::monte_carlo;
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,17 +139,17 @@ impl Experiment for ExtMultilevelDefectsExperiment {
             .line("  - connection-column permutations + a spare row or two recover most of it.");
         write_csv_if_requested(params, reporter, &table)?;
 
-        let data = JsonValue::obj([
-            ("permutations", JsonValue::usize(permutations)),
-            ("samples_per_cell", JsonValue::usize(params.samples)),
+        let data = Json::obj([
+            ("permutations", Json::usize(permutations)),
+            ("samples_per_cell", Json::usize(params.samples)),
             (
                 "cells",
-                JsonValue::arr(cells.iter().map(|(design, rate, spare, succ)| {
-                    JsonValue::obj([
-                        ("design", JsonValue::str(design.clone())),
-                        ("defect_rate", JsonValue::f64(*rate)),
-                        ("spare_rows", JsonValue::usize(*spare)),
-                        ("successes", JsonValue::usize(*succ)),
+                Json::arr(cells.iter().map(|(design, rate, spare, succ)| {
+                    Json::obj([
+                        ("design", Json::str(design.clone())),
+                        ("defect_rate", Json::f64(*rate)),
+                        ("spare_rows", Json::usize(*spare)),
+                        ("successes", Json::usize(*succ)),
                     ])
                 })),
             ),

@@ -12,7 +12,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use xbar_core::{estimate_yield, FunctionMatrix, MapperKind, YieldConfig};
 use xbar_logic::bench_reg::find;
@@ -143,26 +143,26 @@ impl Experiment for ExtYieldRedundancyExperiment {
         write_csv_if_requested(params, reporter, &open_table)?;
 
         let sweep_json = |sweep: &[SweepRow]| {
-            JsonValue::arr(sweep.iter().map(|(rate, cells)| {
-                JsonValue::obj([
-                    ("defect_rate", JsonValue::f64(*rate)),
+            Json::arr(sweep.iter().map(|(rate, cells)| {
+                Json::obj([
+                    ("defect_rate", Json::f64(*rate)),
                     (
                         "spares",
-                        JsonValue::arr(cells.iter().map(|(spare, successes, samples)| {
-                            JsonValue::obj([
-                                ("spare_rows", JsonValue::usize(*spare)),
-                                ("successes", JsonValue::u64(*successes)),
-                                ("samples", JsonValue::u64(*samples)),
+                        Json::arr(cells.iter().map(|(spare, successes, samples)| {
+                            Json::obj([
+                                ("spare_rows", Json::usize(*spare)),
+                                ("successes", Json::u64(*successes)),
+                                ("samples", Json::u64(*samples)),
                             ])
                         })),
                     ),
                 ])
             }))
         };
-        let data = JsonValue::obj([
-            ("circuit", JsonValue::str(circuit)),
-            ("rows", JsonValue::usize(fm.num_rows())),
-            ("cols", JsonValue::usize(fm.num_cols())),
+        let data = Json::obj([
+            ("circuit", Json::str(circuit)),
+            ("rows", Json::usize(fm.num_rows())),
+            ("cols", Json::usize(fm.num_cols())),
             ("stuck_open_sweep", sweep_json(&open)),
             ("stuck_closed_sweep", sweep_json(&closed)),
         ]);

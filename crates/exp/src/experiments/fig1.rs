@@ -9,7 +9,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use xbar_device::{iv_sweep, IvPoint, MemristorParams};
 
@@ -128,15 +128,15 @@ impl Experiment for Fig1Experiment {
              {hysteresis_ratio:.1}x"
         ));
 
-        let opt_v = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::f64);
-        let data = JsonValue::obj([
-            ("sweep_points", JsonValue::usize(abrupt.len())),
-            ("v_max", JsonValue::f64(v_max)),
+        let opt_v = |v: Option<f64>| v.map_or(Json::Null, Json::f64);
+        let data = Json::obj([
+            ("sweep_points", Json::usize(abrupt.len())),
+            ("v_max", Json::f64(v_max)),
             ("set_voltage", opt_v(set_at)),
             ("reset_voltage", opt_v(reset_at)),
-            ("hysteresis_ratio", JsonValue::f64(hysteresis_ratio)),
-            ("r_on", JsonValue::f64(device.r_on)),
-            ("r_off", JsonValue::f64(device.r_off)),
+            ("hysteresis_ratio", Json::f64(hysteresis_ratio)),
+            ("r_on", Json::f64(device.r_on)),
+            ("r_off", Json::f64(device.r_off)),
         ]);
         Ok(Artifact::new(data))
     }

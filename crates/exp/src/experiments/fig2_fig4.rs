@@ -3,7 +3,7 @@
 //! function f = x0+x1+x2+x3 + x4·x5·x6·x7.
 
 use crate::experiment::{Artifact, ExpError, Experiment, Params, Reporter};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use xbar_core::{
     map_naive, program_two_level, CrossbarMatrix, FunctionMatrix, MultiLevelDesign,
     MultiLevelMapping,
@@ -102,19 +102,16 @@ impl Experiment for Fig2Fig4Experiment {
             design.network.gate_count()
         ));
 
-        let bools = |v: &[bool]| JsonValue::arr(v.iter().map(|&b| JsonValue::Bool(b)));
-        let data = JsonValue::obj([
-            ("input_vector", JsonValue::u64(input)),
-            ("two_level_phases", JsonValue::usize(two_level_phases)),
+        let bools = |v: &[bool]| Json::arr(v.iter().map(|&b| Json::Bool(b)));
+        let data = Json::obj([
+            ("input_vector", Json::u64(input)),
+            ("two_level_phases", Json::usize(two_level_phases)),
             ("two_level_outputs", bools(&trace.outputs)),
-            (
-                "multi_level_phases",
-                JsonValue::usize(ml_trace.phases.len()),
-            ),
+            ("multi_level_phases", Json::usize(ml_trace.phases.len())),
             ("multi_level_outputs", bools(&ml_trace.outputs)),
             ("gate_values", bools(&ml_trace.gate_values)),
-            ("nand_gates", JsonValue::usize(design.network.gate_count())),
-            ("traces_match_cover", JsonValue::Bool(true)),
+            ("nand_gates", Json::usize(design.network.gate_count())),
+            ("traces_match_cover", Json::Bool(true)),
         ]);
         Ok(Artifact::new(data))
     }

@@ -4,7 +4,7 @@
 
 use super::fig2_fig4::worked_example_cover;
 use crate::experiment::{write_csv_if_requested, Artifact, ExpError, Experiment, Params, Reporter};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use xbar_core::{map_naive, program_two_level, CrossbarMatrix, FunctionMatrix, TwoLevelLayout};
 use xbar_device::Crossbar;
@@ -76,20 +76,14 @@ impl Experiment for Fig3Experiment {
             )));
         }
 
-        let data = JsonValue::obj([
-            ("rows", JsonValue::usize(paper_layout.rows())),
-            ("cols", JsonValue::usize(paper_layout.cols())),
-            (
-                "area_with_inversion_row",
-                JsonValue::usize(paper_layout.area()),
-            ),
-            (
-                "area_table_convention",
-                JsonValue::usize(table_layout.area()),
-            ),
-            ("memristors_used", JsonValue::usize(switches)),
-            ("inclusion_ratio", JsonValue::f64(inclusion_ratio)),
-            ("exhaustive_mismatches", JsonValue::usize(mismatches)),
+        let data = Json::obj([
+            ("rows", Json::usize(paper_layout.rows())),
+            ("cols", Json::usize(paper_layout.cols())),
+            ("area_with_inversion_row", Json::usize(paper_layout.area())),
+            ("area_table_convention", Json::usize(table_layout.area())),
+            ("memristors_used", Json::usize(switches)),
+            ("inclusion_ratio", Json::f64(inclusion_ratio)),
+            ("exhaustive_mismatches", Json::usize(mismatches)),
         ]);
         Ok(Artifact::new(data))
     }

@@ -4,7 +4,7 @@
 
 use super::fig2_fig4::worked_example_cover;
 use crate::experiment::{write_csv_if_requested, Artifact, ExpError, Experiment, Params, Reporter};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use xbar_core::{MultiLevelDesign, MultiLevelMapping};
 use xbar_device::Crossbar;
@@ -72,13 +72,13 @@ impl Experiment for Fig5Experiment {
             )));
         }
 
-        let data = JsonValue::obj([
-            ("rows", JsonValue::usize(design.cost.rows)),
-            ("cols", JsonValue::usize(design.cost.cols)),
-            ("area", JsonValue::usize(design.area())),
-            ("nand_gates", JsonValue::usize(design.network.gate_count())),
-            ("connections", JsonValue::usize(design.cost.connections)),
-            ("exhaustive_mismatches", JsonValue::usize(mismatches)),
+        let data = Json::obj([
+            ("rows", Json::usize(design.cost.rows)),
+            ("cols", Json::usize(design.cost.cols)),
+            ("area", Json::usize(design.area())),
+            ("nand_gates", Json::usize(design.network.gate_count())),
+            ("connections", Json::usize(design.cost.connections)),
+            ("exhaustive_mismatches", Json::usize(mismatches)),
         ]);
         Ok(Artifact::new(data))
     }

@@ -13,7 +13,7 @@ use crate::experiment::{
     Reporter,
 };
 use crate::mc::monte_carlo;
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -196,19 +196,18 @@ impl Experiment for Fig6Experiment {
             reporter.line("(run with --csv PATH to dump the full per-sample series)");
         }
 
-        let data = JsonValue::obj([(
+        let data = Json::obj([(
             "series",
-            JsonValue::arr(series.iter().map(|s| {
+            Json::arr(series.iter().map(|s| {
                 let wins = s.points.iter().filter(|p| p.multi_level_wins()).count();
-                JsonValue::obj([
-                    ("input_size", JsonValue::usize(s.input_size)),
-                    ("samples", JsonValue::usize(s.points.len())),
-                    ("multi_level_wins", JsonValue::usize(wins)),
-                    ("success_rate", JsonValue::f64(s.success_rate)),
+                Json::obj([
+                    ("input_size", Json::usize(s.input_size)),
+                    ("samples", Json::usize(s.points.len())),
+                    ("multi_level_wins", Json::usize(wins)),
+                    ("success_rate", Json::f64(s.success_rate)),
                     (
                         "published_success_rate",
-                        s.published_success_rate
-                            .map_or(JsonValue::Null, JsonValue::f64),
+                        s.published_success_rate.map_or(Json::Null, Json::f64),
                     ),
                 ])
             })),

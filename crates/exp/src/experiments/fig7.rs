@@ -4,7 +4,7 @@
 //! functionally correct.
 
 use crate::experiment::{Artifact, ExpError, Experiment, Params, Reporter};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use xbar_core::{
     map_hybrid, map_naive, program_two_level, CrossbarMatrix, FunctionMatrix, RowAssignment,
 };
@@ -114,15 +114,15 @@ impl Experiment for Fig7Experiment {
             )));
         }
 
-        let data = JsonValue::obj([
-            ("naive_valid", JsonValue::Bool(naive.is_success())),
-            ("naive_wrong_inputs", JsonValue::usize(naive_wrong)),
-            ("hybrid_valid", JsonValue::Bool(true)),
+        let data = Json::obj([
+            ("naive_valid", Json::Bool(naive.is_success())),
+            ("naive_wrong_inputs", Json::usize(naive_wrong)),
+            ("hybrid_valid", Json::Bool(true)),
             (
                 "hybrid_assignment",
-                JsonValue::arr(assignment.fm_to_cm.iter().map(|&r| JsonValue::usize(r))),
+                Json::arr(assignment.fm_to_cm.iter().map(|&r| Json::usize(r))),
             ),
-            ("hybrid_wrong_inputs", JsonValue::usize(hybrid_wrong)),
+            ("hybrid_wrong_inputs", Json::usize(hybrid_wrong)),
         ]);
         Ok(Artifact::new(data))
     }

@@ -5,7 +5,7 @@ use super::fig7::fig7_cover;
 use crate::experiment::{
     Artifact, ExpError, Experiment, ParamSpec, Params, Reporter, RNG_STREAM_PARAM,
 };
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xbar_assign::{munkres, CostMatrix};
@@ -98,15 +98,15 @@ impl Experiment for Fig8Experiment {
             }
         ));
 
-        let data = JsonValue::obj([
-            ("fm_rows", JsonValue::usize(fm.num_rows())),
-            ("cm_rows", JsonValue::usize(cm.num_rows())),
+        let data = Json::obj([
+            ("fm_rows", Json::usize(fm.num_rows())),
+            ("cm_rows", Json::usize(cm.num_rows())),
             (
                 "assignment",
-                JsonValue::arr(solution.assignment.iter().map(|&c| JsonValue::usize(c))),
+                Json::arr(solution.assignment.iter().map(|&c| Json::usize(c))),
             ),
-            ("total_cost", JsonValue::Num(solution.cost.to_string())),
-            ("valid_mapping", JsonValue::Bool(solution.cost == 0)),
+            ("total_cost", Json::Num(solution.cost.to_string())),
+            ("valid_mapping", Json::Bool(solution.cost == 0)),
         ]);
         Ok(Artifact::new(data))
     }

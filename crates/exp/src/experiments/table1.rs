@@ -2,7 +2,7 @@
 //! both the original function and its negation.
 
 use crate::experiment::{write_csv_if_requested, Artifact, ExpError, Experiment, Params, Reporter};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::Table;
 use xbar_core::TwoLevelLayout;
 use xbar_logic::bench_reg::{exact_truth_table, registry, BenchmarkInfo, BenchmarkSource};
@@ -219,27 +219,24 @@ impl Experiment for Table1Experiment {
         reporter.line("paper's crossover circuits (multi-level wins): t481, cordic");
         write_csv_if_requested(params, reporter, &table)?;
 
-        let opt_usize = |v: Option<usize>| v.map_or(JsonValue::Null, JsonValue::usize);
-        let data = JsonValue::obj([
+        let opt_usize = |v: Option<usize>| v.map_or(Json::Null, Json::usize);
+        let data = Json::obj([
             (
                 "circuits",
-                JsonValue::arr(rows.iter().map(|r| {
-                    JsonValue::obj([
-                        ("name", JsonValue::str(r.name.clone())),
-                        ("two_level", JsonValue::usize(r.two_level)),
-                        ("multi_level", JsonValue::usize(r.multi_level)),
+                Json::arr(rows.iter().map(|r| {
+                    Json::obj([
+                        ("name", Json::str(r.name.clone())),
+                        ("two_level", Json::usize(r.two_level)),
+                        ("multi_level", Json::usize(r.multi_level)),
                         ("two_level_neg", opt_usize(r.two_level_neg)),
                         ("multi_level_neg", opt_usize(r.multi_level_neg)),
-                        ("two_level_published", JsonValue::usize(r.published.0)),
-                        ("multi_level_published", JsonValue::usize(r.published.1)),
-                        (
-                            "winner_matches_paper",
-                            JsonValue::Bool(r.winner_matches_paper()),
-                        ),
+                        ("two_level_published", Json::usize(r.published.0)),
+                        ("multi_level_published", Json::usize(r.published.1)),
+                        ("winner_matches_paper", Json::Bool(r.winner_matches_paper())),
                     ])
                 })),
             ),
-            ("winners_agreeing", JsonValue::usize(agree)),
+            ("winners_agreeing", Json::usize(agree)),
         ]);
         Ok(Artifact::new(data))
     }

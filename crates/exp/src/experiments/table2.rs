@@ -14,7 +14,7 @@ use crate::experiment::{
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
 use crate::mc::monte_carlo_range_fold;
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::table::{pct, secs, Table};
 use std::ops::Range;
 use std::time::Instant;
@@ -389,24 +389,24 @@ impl Experiment for Table2Experiment {
 /// Panics when `rows` and `accums` disagree in length — they must come
 /// from the same per-circuit fold.
 #[must_use]
-pub fn table2_artifact_data(rows: &[Table2Row], accums: &[CircuitAccum]) -> JsonValue {
+pub fn table2_artifact_data(rows: &[Table2Row], accums: &[CircuitAccum]) -> Json {
     assert_eq!(rows.len(), accums.len(), "one accumulator per row");
-    JsonValue::obj([(
+    Json::obj([(
         "circuits",
-        JsonValue::arr(rows.iter().zip(accums).map(|(r, accum)| {
-            JsonValue::obj([
-                ("name", JsonValue::str(r.name.clone())),
-                ("inputs", JsonValue::usize(r.inputs)),
-                ("outputs", JsonValue::usize(r.outputs)),
-                ("products", JsonValue::usize(r.products)),
-                ("area", JsonValue::usize(r.area)),
-                ("area_published", JsonValue::usize(r.area_published)),
-                ("inclusion_ratio", JsonValue::f64(r.inclusion_ratio)),
-                ("samples", JsonValue::u64(accum.samples())),
-                ("hba_successes", JsonValue::u64(accum.hba.successes)),
-                ("hba_success_rate", JsonValue::f64(accum.hba.rate())),
-                ("ea_successes", JsonValue::u64(accum.ea.successes)),
-                ("ea_success_rate", JsonValue::f64(accum.ea.rate())),
+        Json::arr(rows.iter().zip(accums).map(|(r, accum)| {
+            Json::obj([
+                ("name", Json::str(r.name.clone())),
+                ("inputs", Json::usize(r.inputs)),
+                ("outputs", Json::usize(r.outputs)),
+                ("products", Json::usize(r.products)),
+                ("area", Json::usize(r.area)),
+                ("area_published", Json::usize(r.area_published)),
+                ("inclusion_ratio", Json::f64(r.inclusion_ratio)),
+                ("samples", Json::u64(accum.samples())),
+                ("hba_successes", Json::u64(accum.hba.successes)),
+                ("hba_success_rate", Json::f64(accum.hba.rate())),
+                ("ea_successes", Json::u64(accum.ea.successes)),
+                ("ea_success_rate", Json::f64(accum.ea.rate())),
             ])
         })),
     )])

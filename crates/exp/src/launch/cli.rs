@@ -9,7 +9,7 @@
 
 use super::pool::{parse_hosts, HostSpec, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
-use super::transport::{Exec, FaultPlan, Faulty, LocalProc, Transport};
+use super::transport::{with_faults, Exec, FaultPlan, LocalProc, Transport};
 use crate::experiment::{find_experiment, Params};
 use crate::experiments::table2::table2_artifact_from_accums;
 use crate::shard::coordinator::{
@@ -43,6 +43,8 @@ pub(crate) struct RunnerFlags {
     /// An xbar-compatible worker binary, run as `PATH mc shard ...`.
     pub(crate) worker: Option<PathBuf>,
     pub(crate) worker_args: Vec<String>,
+    /// Faults injected into the transport (`--inject-host-fault`).
+    pub(crate) faults: Vec<FaultPlan>,
 }
 
 impl Default for RunnerFlags {
@@ -57,6 +59,7 @@ impl Default for RunnerFlags {
             work_dir: None,
             worker: None,
             worker_args: Vec::new(),
+            faults: Vec::new(),
         }
     }
 }
@@ -77,8 +80,12 @@ is never removed, so --out may point inside it)\n  \
 --worker PATH      an xbar-compatible worker binary, run as\n                     \
 `PATH mc shard ...` (default: the xbar binary next to this one)\n  \
 --worker-arg ARG   extra argument appended to every worker invocation\n                     \
-(repeatable; used by fault-injection tests and CI)\n  \
---keep-partials    keep partial files after the merge";
+(repeatable; used by the worker-probe tests)\n  \
+--keep-partials    keep partial files after the merge\n  \
+--inject-host-fault SPEC  test-only: inject a transport fault\n                     \
+`host=drop|crash|stall|truncate|die[@ordinal]` at that host's\n                     \
+0-based dispatch ordinal (repeatable; `mc coordinate`'s host\n                     \
+is `local`)";
 
 impl RunnerFlags {
     /// Tries to consume one runner flag (plus its value from `it`);
@@ -113,6 +120,7 @@ impl RunnerFlags {
             "--work-dir" => self.work_dir = Some(PathBuf::from(value()?)),
             "--worker" => self.worker = Some(PathBuf::from(value()?)),
             "--worker-arg" => self.worker_args.push(value()?),
+            "--inject-host-fault" => self.faults.push(FaultPlan::parse(&value()?)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -123,13 +131,23 @@ impl RunnerFlags {
     ///
     /// # Errors
     ///
-    /// Fails when no `--worker` was given and no default worker binary
-    /// can be located.
+    /// Fails when a fault plan names a host outside the fleet, or when no
+    /// `--worker` was given and no default worker binary can be located.
     pub(crate) fn launch_config(
         &self,
         config: McConfig,
         hosts: Vec<HostSpec>,
     ) -> Result<LaunchConfig, String> {
+        if let Some(plan) = self
+            .faults
+            .iter()
+            .find(|plan| !hosts.iter().any(|h| h.name == plan.host))
+        {
+            return Err(format!(
+                "--inject-host-fault names host {:?}, which is not in the fleet",
+                plan.host
+            ));
+        }
         let worker = match &self.worker {
             Some(path) => Worker::xbar(path.clone()),
             None => default_worker()?,
@@ -170,7 +188,6 @@ struct LaunchArgs {
     probation: Duration,
     artifact: Option<PathBuf>,
     exec_args: Vec<String>,
-    faults: Vec<FaultPlan>,
 }
 
 fn launch_usage() -> String {
@@ -196,10 +213,7 @@ fn launch_usage() -> String {
          subprocess: `{{host}}` expands to the host name, `{{worker}}` splices\n                     \
          the worker argv, `{{worker:sh}}` substitutes one shell-quoted\n                     \
          command string. E.g. `--exec-arg ssh --exec-arg {{host}}\n                     \
-         --exec-arg {{worker:sh}}` dispatches over ssh.\n\n\
-         test-only fault injection:\n  \
-         --inject-host-fault SPEC  wrap the transport with an injected fault:\n                     \
-         `host=drop|stall|truncate|die[@ordinal]` (repeatable)"
+         --exec-arg {{worker:sh}}` dispatches over ssh."
     )
 }
 
@@ -213,7 +227,6 @@ fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
         probation: DEFAULT_PROBATION,
         artifact: None,
         exec_args: Vec::new(),
-        faults: Vec::new(),
     };
     let mut it = args.into_iter();
     let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
@@ -245,7 +258,6 @@ fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
             "--probation" => out.probation = parse_secs(&flag, &value(&flag, &mut it)?)?,
             "--artifact" => out.artifact = Some(PathBuf::from(value(&flag, &mut it)?)),
             "--exec-arg" => out.exec_args.push(value(&flag, &mut it)?),
-            "--inject-host-fault" => out.faults.push(FaultPlan::parse(&value(&flag, &mut it)?)?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
@@ -375,11 +387,7 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
             }
         }
     };
-    let transport: Box<dyn Transport> = if args.faults.is_empty() {
-        transport
-    } else {
-        Box::new(Faulty::new(transport, args.faults.clone()))
-    };
+    let transport = with_faults(transport, &args.runner.faults);
 
     println!(
         "launching {} samples as {} shard(s) over {} host(s) (seed {}, {:.0}% defects)",
@@ -449,7 +457,7 @@ mod tests {
         assert_eq!(args.quarantine_after, 2);
         assert_eq!(args.probation, Duration::from_millis(1500));
         assert_eq!(args.exec_args, ["ssh", "{host}", "{worker:sh}"]);
-        assert_eq!(args.faults.len(), 1);
+        assert_eq!(args.runner.faults.len(), 1);
 
         assert!(parse_launch_args(argv(&["--help"])).expect("ok").is_none());
     }

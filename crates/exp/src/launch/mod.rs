@@ -12,7 +12,9 @@
 //! * [`transport`] — the dispatch abstraction ([`Transport`]/[`Flight`]),
 //!   its two real implementations ([`LocalProc`] subprocesses and the
 //!   [`Exec`] command template that covers `ssh` without new
-//!   dependencies), and the deterministic fault injector ([`Faulty`]);
+//!   dependencies), and the workspace's one fault injector ([`Faulty`]:
+//!   dropped dispatches, crashed, stalled and torn-stream workers, dead
+//!   hosts), which every runner front-end builds through [`with_faults`];
 //! * [`pool`] — the [`HostPool`] with per-host health (healthy → suspect
 //!   → quarantined → timed probation) and in-flight slot bounds;
 //! * [`scheduler`] — the event loop: dispatch, watchdog deadlines,
@@ -25,8 +27,9 @@
 //!
 //! The hard invariant, pinned by tests and the CI loopback smoke: the
 //! merged artifacts are **byte-identical** to a monolithic run under
-//! every tolerated fault — dropped dispatches, mid-stream truncation,
-//! host death mid-campaign, hung flights, duplicated hedge partials.
+//! every tolerated fault — dropped dispatches, crashed workers,
+//! mid-stream truncation, host death mid-campaign, hung flights,
+//! duplicated hedge partials.
 
 pub mod cli;
 pub mod merge;
@@ -37,4 +40,6 @@ pub mod transport;
 pub use merge::merge_host_groups;
 pub use pool::{parse_hosts, HostCount, HostHealth, HostPool, HostSpec};
 pub use scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
-pub use transport::{Exec, FaultKind, FaultPlan, Faulty, Flight, LocalProc, Transport, WorkerJob};
+pub use transport::{
+    with_faults, Exec, FaultKind, FaultPlan, Faulty, Flight, LocalProc, Transport, WorkerJob,
+};

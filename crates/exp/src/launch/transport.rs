@@ -13,7 +13,9 @@
 //! machine, and the loopback test double for multi-host tests), and
 //! [`Exec`] substitutes the argv into a user command template (`ssh`,
 //! container runners, job-queue shims). [`Faulty`] wraps any transport
-//! with deterministic fault injection for tests and CI.
+//! with deterministic fault injection for tests and CI; it is the only
+//! place crash, stall and torn-stream faults are injected, each
+//! [`FaultKind`] listed once.
 
 use std::collections::HashMap;
 use std::io::Read as _;
@@ -272,13 +274,21 @@ impl Transport for Exec {
     }
 }
 
-/// What an injected fault does to the matched dispatch.
+/// What an injected fault does to the matched dispatch. This is the one
+/// list of failure modes the tests and CI inject; every kind but `Drop`
+/// and `Die` still runs the real worker, so the runner's counters see a
+/// real dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The dispatch itself fails (host unreachable).
     Drop,
-    /// The flight starts but never completes (link stall / hung worker) —
-    /// only a watchdog deadline or a hedged duplicate resolves the shard.
+    /// The worker runs, but its result is replaced by an error (a worker
+    /// that crashed before reporting back).
+    Crash,
+    /// The worker runs, but the flight never reports back (link stall /
+    /// hung worker) — only a watchdog deadline or a hedged duplicate
+    /// resolves the shard; cancelling the flight kills and reaps the
+    /// worker.
     Stall,
     /// The flight succeeds but returns only a prefix of the stream (torn
     /// transfer); partial validation must reject it.
@@ -292,11 +302,12 @@ impl FaultKind {
     fn parse(text: &str) -> Result<Self, String> {
         match text {
             "drop" => Ok(Self::Drop),
+            "crash" => Ok(Self::Crash),
             "stall" => Ok(Self::Stall),
             "truncate" => Ok(Self::Truncate),
             "die" => Ok(Self::Die),
             other => Err(format!(
-                "unknown fault kind {other:?} (drop|stall|truncate|die)"
+                "unknown fault kind {other:?} (drop|crash|stall|truncate|die)"
             )),
         }
     }
@@ -346,32 +357,25 @@ impl FaultPlan {
     }
 }
 
-/// A flight that never completes until cancelled (the injected stall).
-#[derive(Debug)]
-struct StallFlight;
-
-impl Flight for StallFlight {
-    fn poll(&mut self) -> Option<Result<Vec<u8>, String>> {
-        None
-    }
-    fn cancel(&mut self) {}
-}
-
-/// Wraps an inner flight and chops its success bytes in half (a torn
-/// stream: the connection dropped mid-transfer).
-struct TruncateFlight {
+/// A real flight with an injected fault applied to its outcome.
+struct FaultFlight {
     inner: Box<dyn Flight>,
+    kind: FaultKind,
 }
 
-impl Flight for TruncateFlight {
+impl Flight for FaultFlight {
     fn poll(&mut self) -> Option<Result<Vec<u8>, String>> {
-        match self.inner.poll() {
-            Some(Ok(mut bytes)) => {
-                bytes.truncate(bytes.len() / 2);
-                Some(Ok(bytes))
-            }
-            other => other,
+        if self.kind == FaultKind::Stall {
+            return None;
         }
+        Some(match (self.kind, self.inner.poll()?) {
+            (FaultKind::Crash, _) => Err("injected crash: the worker's result was lost".to_owned()),
+            (FaultKind::Truncate, Ok(mut bytes)) => {
+                bytes.truncate(bytes.len() / 2);
+                Ok(bytes)
+            }
+            (_, result) => result,
+        })
     }
     fn cancel(&mut self) {
         self.inner.cancel();
@@ -424,19 +428,40 @@ impl<T: Transport> Transport for Faulty<T> {
             Some(FaultKind::Die) => Err(format!(
                 "injected host death: {host} is gone (dispatch {ordinal})"
             )),
-            Some(FaultKind::Stall) => Ok(Box::new(StallFlight)),
-            Some(FaultKind::Truncate) => {
-                let inner = self.inner.dispatch(host, job)?;
-                Ok(Box::new(TruncateFlight { inner }))
-            }
+            Some(kind) => Ok(Box::new(FaultFlight {
+                inner: self.inner.dispatch(host, job)?,
+                kind,
+            })),
             None => self.inner.dispatch(host, job),
         }
+    }
+}
+
+/// `transport` wrapped in [`Faulty`] when any fault is planned — the one
+/// place `mc coordinate`, `mc launch` and `serve --launcher-fault` build
+/// their transport.
+#[must_use]
+pub fn with_faults(transport: Box<dyn Transport>, plans: &[FaultPlan]) -> Box<dyn Transport> {
+    if plans.is_empty() {
+        transport
+    } else {
+        Box::new(Faulty::new(transport, plans.to_vec()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Polls `flight` until it resolves.
+    fn resolve(flight: &mut dyn Flight) -> Result<Vec<u8>, String> {
+        loop {
+            if let Some(result) = flight.poll() {
+                return result;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
 
     fn job(args: &[&str]) -> WorkerJob {
         WorkerJob {
@@ -451,12 +476,7 @@ mod tests {
         let mut flight = transport
             .dispatch("anywhere", &job(&["hello"]))
             .expect("ok");
-        let result = loop {
-            if let Some(result) = flight.poll() {
-                break result;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        };
+        let result = resolve(flight.as_mut());
         assert_eq!(result.expect("succeeds"), b"hello\n");
 
         let fail = WorkerJob {
@@ -464,12 +484,7 @@ mod tests {
             args: vec!["-c".to_owned(), "echo doomed >&2; exit 3".to_owned()],
         };
         let mut flight = transport.dispatch("anywhere", &fail).expect("spawns");
-        let result = loop {
-            if let Some(result) = flight.poll() {
-                break result;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        };
+        let result = resolve(flight.as_mut());
         let err = result.expect_err("non-zero exit is a flight failure");
         assert!(err.contains("doomed"), "stderr tail surfaces: {err}");
     }
@@ -519,6 +534,10 @@ mod tests {
             0,
             "ordinal defaults to 0"
         );
+        assert_eq!(
+            FaultPlan::parse("local=crash@2").expect("parses").kind,
+            FaultKind::Crash
+        );
         for bad in ["beta", "=die", "beta=melt", "beta=die@soon"] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must fail");
         }
@@ -556,12 +575,7 @@ mod tests {
         let mut flight = faulty
             .dispatch("t", &job(&["0123456789"]))
             .expect("dispatches");
-        let bytes = loop {
-            if let Some(result) = flight.poll() {
-                break result.expect("flight succeeds");
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        };
+        let bytes = resolve(flight.as_mut()).expect("flight succeeds");
         assert_eq!(bytes, b"01234", "11 bytes with newline -> half = 5");
 
         let mut stalled = faulty.dispatch("s", &job(&["x"])).expect("dispatches");
@@ -569,5 +583,48 @@ mod tests {
             assert!(stalled.poll().is_none(), "a stall never completes");
         }
         stalled.cancel();
+    }
+
+    #[test]
+    fn crash_and_stall_faults_still_run_the_real_worker() {
+        let dir = std::env::temp_dir().join(format!("xbar-fault-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let touch = |name: &str| WorkerJob {
+            binary: PathBuf::from("/bin/sh"),
+            args: vec![
+                "-c".to_owned(),
+                format!("touch {}; echo done", dir.join(name).display()),
+            ],
+        };
+        let faulty = Faulty::new(
+            LocalProc,
+            vec![
+                FaultPlan::parse("c=crash@0").expect("parses"),
+                FaultPlan::parse("s=stall@0").expect("parses"),
+            ],
+        );
+
+        let mut crashed = faulty.dispatch("c", &touch("crash")).expect("dispatches");
+        let result = resolve(crashed.as_mut());
+        let err = result.expect_err("a crash reports failure");
+        assert!(err.contains("injected crash"), "{err}");
+        assert!(dir.join("crash").exists(), "the crashed worker really ran");
+
+        let mut stalled = faulty.dispatch("s", &touch("stall")).expect("dispatches");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !dir.join("stall").exists() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "stalled worker never ran"
+            );
+            assert!(stalled.poll().is_none(), "a stall never completes");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert!(
+            stalled.poll().is_none(),
+            "not even after the worker finished"
+        );
+        stalled.cancel();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

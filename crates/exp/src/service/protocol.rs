@@ -1,7 +1,7 @@
 //! The `xbar-svc/1` wire protocol: newline-delimited JSON over TCP.
 //!
 //! Every message — request or response — is one JSON object on one line
-//! (rendered with [`JsonValue::render_compact`], parsed with
+//! (rendered with [`Json::render_compact`], parsed with
 //! [`Json::parse`]), tagged with `"svc": "xbar-svc/1"` and a `"type"`
 //! discriminator. Requests flow client → daemon; the daemon answers each
 //! request with one response line, except `submit` with `"wait": true`,
@@ -13,7 +13,7 @@
 //! `status`, `stats`, `ok`, `error`. Unknown fields are ignored by both
 //! sides, so the schema can grow compatibly within `/1`.
 
-use crate::shard::json::{Json, JsonValue};
+use crate::shard::json::Json;
 
 /// Protocol schema tag carried by every message.
 pub const PROTOCOL: &str = "xbar-svc/1";
@@ -64,8 +64,8 @@ impl Request {
     #[must_use]
     pub fn render(&self) -> String {
         let mut fields = vec![
-            ("svc".to_owned(), JsonValue::str(PROTOCOL)),
-            ("type".to_owned(), JsonValue::str(self.type_name())),
+            ("svc", Json::str(PROTOCOL)),
+            ("type", Json::str(self.type_name())),
         ];
         match self {
             Request::Submit {
@@ -73,19 +73,16 @@ impl Request {
                 args,
                 wait,
             } => {
-                fields.push(("experiment".to_owned(), JsonValue::str(experiment.clone())));
-                fields.push((
-                    "args".to_owned(),
-                    JsonValue::arr(args.iter().map(|a| JsonValue::str(a.clone()))),
-                ));
-                fields.push(("wait".to_owned(), JsonValue::Bool(*wait)));
+                fields.push(("experiment", Json::str(experiment.clone())));
+                fields.push(("args", Json::arr(args.iter().map(|a| Json::str(a.clone())))));
+                fields.push(("wait", Json::Bool(*wait)));
             }
             Request::Status { job } | Request::ResultOf { job } | Request::Cancel { job } => {
-                fields.push(("job".to_owned(), JsonValue::u64(*job)));
+                fields.push(("job", Json::u64(*job)));
             }
             Request::Stats | Request::Shutdown => {}
         }
-        JsonValue::Obj(fields).render_compact()
+        Json::obj(fields).render_compact()
     }
 
     fn type_name(&self) -> &'static str {
@@ -162,22 +159,16 @@ impl Request {
 /// Starts a response object: `svc` and `type` first, so every line a
 /// client reads leads with the same two discriminators.
 #[must_use]
-pub fn response(kind: &str, fields: Vec<(String, JsonValue)>) -> String {
-    let mut all = vec![
-        ("svc".to_owned(), JsonValue::str(PROTOCOL)),
-        ("type".to_owned(), JsonValue::str(kind)),
-    ];
+pub fn response(kind: &str, fields: Vec<(&'static str, Json)>) -> String {
+    let mut all = vec![("svc", Json::str(PROTOCOL)), ("type", Json::str(kind))];
     all.extend(fields);
-    JsonValue::Obj(all).render_compact()
+    Json::obj(all).render_compact()
 }
 
 /// An `error` response line.
 #[must_use]
 pub fn error_line(message: &str) -> String {
-    response(
-        "error",
-        vec![("message".to_owned(), JsonValue::str(message))],
-    )
+    response("error", vec![("message", Json::str(message))])
 }
 
 #[cfg(test)]
@@ -254,10 +245,7 @@ mod tests {
     fn responses_lead_with_svc_and_type() {
         let line = response(
             "submitted",
-            vec![
-                ("job".to_owned(), JsonValue::u64(7)),
-                ("cache".to_owned(), JsonValue::str("miss")),
-            ],
+            vec![("job", Json::u64(7)), ("cache", Json::str("miss"))],
         );
         assert!(line.starts_with("{\"svc\": \"xbar-svc/1\", \"type\": \"submitted\""));
         let doc = Json::parse(&line).expect("parses");

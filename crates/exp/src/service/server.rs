@@ -31,14 +31,14 @@ use crate::experiment::{find_experiment, Experiment, Params, Reporter};
 use crate::experiments::table2::{resolve_circuit_subset, table2_artifact_from_accums};
 use crate::launch::cli::parse_secs;
 use crate::launch::{
-    parse_hosts, run_launch_with_report, FaultPlan, Faulty, HostCount, HostSpec, LaunchConfig,
-    LocalProc, Transport,
+    parse_hosts, run_launch_with_report, with_faults, FaultPlan, HostCount, HostSpec, LaunchConfig,
+    LocalProc,
 };
 use crate::service::cache::{cache_key, ArtifactCache, CacheKey};
 use crate::service::protocol::{error_line, response, Request};
 use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
 use crate::shard::coordinator::{campaign_run_dir, default_worker, RunReport, Worker};
-use crate::shard::json::JsonValue;
+use crate::shard::json::Json;
 use crate::shard::McConfig;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -81,7 +81,7 @@ pub struct ServeOptions {
     /// shard workers (`--in-process-jobs`) — no worker binary needed.
     pub in_process_jobs: bool,
     /// Extra arguments forwarded to every shard worker (`--worker-arg`,
-    /// repeatable; the failure-injection smoke hooks live here).
+    /// repeatable; the worker probes the tests use live here).
     pub worker_args: Vec<String>,
     /// The fleet every sharded job runs on (`--launcher SPEC`, same
     /// `name[*slots]` grammar as `xbar mc launch --hosts`; default
@@ -309,7 +309,7 @@ fn handle_request(state: &Arc<ServiceState>, writer: &mut TcpStream, request: Re
         }
         Request::Cancel { job } => {
             let line = match state.queue.cancel(job) {
-                Ok(()) => response("ok", vec![("job".to_owned(), JsonValue::u64(job))]),
+                Ok(()) => response("ok", vec![("job", Json::u64(job))]),
                 Err(e) => error_line(&e),
             };
             send(writer, &line)
@@ -366,9 +366,9 @@ fn handle_submit(
         let submitted = response(
             "submitted",
             vec![
-                ("job".to_owned(), JsonValue::u64(id)),
-                ("cache".to_owned(), JsonValue::str("hit")),
-                ("state".to_owned(), JsonValue::str("done")),
+                ("job", Json::u64(id)),
+                ("cache", Json::str("hit")),
+                ("state", Json::str("done")),
             ],
         );
         if !send(writer, &submitted) {
@@ -390,11 +390,11 @@ fn handle_submit(
     let submitted = response(
         "submitted",
         vec![
-            ("job".to_owned(), JsonValue::u64(id)),
-            ("cache".to_owned(), JsonValue::str(disposition.as_str())),
+            ("job", Json::u64(id)),
+            ("cache", Json::str(disposition.as_str())),
             (
-                "state".to_owned(),
-                JsonValue::str(
+                "state",
+                Json::str(
                     state
                         .queue
                         .snapshot(id)
@@ -430,11 +430,11 @@ fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u
             let progress = response(
                 "progress",
                 vec![
-                    ("job".to_owned(), JsonValue::u64(id)),
-                    ("state".to_owned(), JsonValue::str(snap.state.as_str())),
-                    ("shards_done".to_owned(), JsonValue::usize(done)),
-                    ("shards".to_owned(), JsonValue::usize(total)),
-                    ("elapsed_ms".to_owned(), JsonValue::u64(snap.elapsed_ms)),
+                    ("job", Json::u64(id)),
+                    ("state", Json::str(snap.state.as_str())),
+                    ("shards_done", Json::usize(done)),
+                    ("shards", Json::usize(total)),
+                    ("elapsed_ms", Json::u64(snap.elapsed_ms)),
                 ],
             );
             if !send(writer, &progress) {
@@ -471,16 +471,11 @@ fn result_or_error_line(snap: &JobSnapshot) -> String {
         JobState::Done => {
             let artifact = snap.artifact.as_deref().map_or("", String::as_str);
             let mut fields = vec![
-                ("job".to_owned(), JsonValue::u64(snap.id)),
-                ("cache".to_owned(), JsonValue::str(snap.cache.as_str())),
+                ("job", Json::u64(snap.id)),
+                ("cache", Json::str(snap.cache.as_str())),
             ];
-            if let Some(report) = &snap.report {
-                fields.extend(report_fields(report));
-            }
-            if !snap.hosts.is_empty() {
-                fields.push(("hosts".to_owned(), hosts_field(&snap.hosts)));
-            }
-            fields.push(("artifact".to_owned(), JsonValue::str(artifact)));
+            fields.extend(runner_fields(snap));
+            fields.push(("artifact", Json::str(artifact)));
             response("result", fields)
         }
         JobState::Failed | JobState::Cancelled => error_line(&format!(
@@ -497,53 +492,50 @@ fn result_or_error_line(snap: &JobSnapshot) -> String {
     }
 }
 
-fn status_fields(snap: &JobSnapshot) -> Vec<(String, JsonValue)> {
+fn status_fields(snap: &JobSnapshot) -> Vec<(&'static str, Json)> {
     let (done, total) = shard_progress(snap);
     let mut fields = vec![
-        ("job".to_owned(), JsonValue::u64(snap.id)),
-        (
-            "experiment".to_owned(),
-            JsonValue::str(snap.experiment.clone()),
-        ),
-        ("state".to_owned(), JsonValue::str(snap.state.as_str())),
-        ("cache".to_owned(), JsonValue::str(snap.cache.as_str())),
-        ("shards_done".to_owned(), JsonValue::usize(done)),
-        ("shards".to_owned(), JsonValue::usize(total)),
-        ("elapsed_ms".to_owned(), JsonValue::u64(snap.elapsed_ms)),
+        ("job", Json::u64(snap.id)),
+        ("experiment", Json::str(snap.experiment.clone())),
+        ("state", Json::str(snap.state.as_str())),
+        ("cache", Json::str(snap.cache.as_str())),
+        ("shards_done", Json::usize(done)),
+        ("shards", Json::usize(total)),
+        ("elapsed_ms", Json::u64(snap.elapsed_ms)),
     ];
-    if let Some(report) = &snap.report {
-        fields.extend(report_fields(report));
-    }
-    if !snap.hosts.is_empty() {
-        fields.push(("hosts".to_owned(), hosts_field(&snap.hosts)));
-    }
+    fields.extend(runner_fields(snap));
     if let Some(error) = &snap.error {
-        fields.push(("error".to_owned(), JsonValue::str(error.clone())));
+        fields.push(("error", Json::str(error.clone())));
     }
     fields
 }
 
-fn report_fields(report: &RunReport) -> Vec<(String, JsonValue)> {
-    vec![
-        ("spawned".to_owned(), JsonValue::usize(report.spawned)),
-        ("reused".to_owned(), JsonValue::usize(report.reused)),
-        ("retries".to_owned(), JsonValue::usize(report.retries)),
-        ("timeouts".to_owned(), JsonValue::usize(report.timeouts)),
-    ]
-}
-
-/// Per-host dispatch attribution (from the runner's [`HostCount`]s) as
-/// a JSON array field on `result` and `status` responses.
-fn hosts_field(hosts: &[HostCount]) -> JsonValue {
-    JsonValue::arr(hosts.iter().map(|h| {
-        JsonValue::obj([
-            ("host", JsonValue::str(h.name.clone())),
-            ("dispatched", JsonValue::usize(h.dispatched)),
-            ("completed", JsonValue::usize(h.completed)),
-            ("failed", JsonValue::usize(h.failed)),
-            ("quarantines", JsonValue::usize(h.quarantines)),
-        ])
-    }))
+/// The runner's counters and per-host dispatch attribution (from its
+/// [`HostCount`]s) for a job that ran sharded, as `result` and `status`
+/// response fields.
+fn runner_fields(snap: &JobSnapshot) -> Vec<(&'static str, Json)> {
+    let mut fields = Vec::new();
+    if let Some(report) = &snap.report {
+        fields.extend([
+            ("spawned", Json::usize(report.spawned)),
+            ("reused", Json::usize(report.reused)),
+            ("retries", Json::usize(report.retries)),
+            ("timeouts", Json::usize(report.timeouts)),
+        ]);
+    }
+    if !snap.hosts.is_empty() {
+        let hosts = snap.hosts.iter().map(|h| {
+            Json::obj([
+                ("host", Json::str(&h.name)),
+                ("dispatched", Json::usize(h.dispatched)),
+                ("completed", Json::usize(h.completed)),
+                ("failed", Json::usize(h.failed)),
+                ("quarantines", Json::usize(h.quarantines)),
+            ])
+        });
+        fields.push(("hosts", Json::arr(hosts)));
+    }
+    fields
 }
 
 fn stats_line(state: &Arc<ServiceState>) -> String {
@@ -552,43 +544,25 @@ fn stats_line(state: &Arc<ServiceState>) -> String {
     response(
         "stats",
         vec![
-            ("submitted".to_owned(), JsonValue::u64(stats.submitted)),
-            ("completed".to_owned(), JsonValue::u64(stats.completed)),
-            ("failed".to_owned(), JsonValue::u64(stats.failed)),
-            ("cancelled".to_owned(), JsonValue::u64(stats.cancelled)),
-            ("cache_hits".to_owned(), JsonValue::u64(stats.cache_hits)),
-            ("coalesced".to_owned(), JsonValue::u64(stats.coalesced)),
-            ("running".to_owned(), JsonValue::usize(stats.running)),
-            ("queued".to_owned(), JsonValue::usize(stats.queued)),
+            ("submitted", Json::u64(stats.submitted)),
+            ("completed", Json::u64(stats.completed)),
+            ("failed", Json::u64(stats.failed)),
+            ("cancelled", Json::u64(stats.cancelled)),
+            ("cache_hits", Json::u64(stats.cache_hits)),
+            ("coalesced", Json::u64(stats.coalesced)),
+            ("running", Json::usize(stats.running)),
+            ("queued", Json::usize(stats.queued)),
             (
-                "max_running_observed".to_owned(),
-                JsonValue::usize(stats.max_running_observed),
+                "max_running_observed",
+                Json::usize(stats.max_running_observed),
             ),
-            (
-                "shard_spawned".to_owned(),
-                JsonValue::u64(stats.shard_spawned),
-            ),
-            (
-                "shard_reused".to_owned(),
-                JsonValue::u64(stats.shard_reused),
-            ),
-            (
-                "shard_retries".to_owned(),
-                JsonValue::u64(stats.shard_retries),
-            ),
-            (
-                "shard_timeouts".to_owned(),
-                JsonValue::u64(stats.shard_timeouts),
-            ),
-            (
-                "worker_slots".to_owned(),
-                JsonValue::usize(state.options.max_inflight),
-            ),
-            (
-                "cache_entries".to_owned(),
-                JsonValue::usize(state.cache.len()),
-            ),
-            ("uptime_ms".to_owned(), JsonValue::u64(uptime)),
+            ("shard_spawned", Json::u64(stats.shard_spawned)),
+            ("shard_reused", Json::u64(stats.shard_reused)),
+            ("shard_retries", Json::u64(stats.shard_retries)),
+            ("shard_timeouts", Json::u64(stats.shard_timeouts)),
+            ("worker_slots", Json::usize(state.options.max_inflight)),
+            ("cache_entries", Json::usize(state.cache.len())),
+            ("uptime_ms", Json::u64(uptime)),
         ],
     )
 }
@@ -703,15 +677,8 @@ fn run_sharded_table2(
         campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards),
         cfg.shards,
     );
-    let transport: Box<dyn Transport> = if state.options.launcher_faults.is_empty() {
-        Box::new(LocalProc)
-    } else {
-        Box::new(Faulty::new(
-            LocalProc,
-            state.options.launcher_faults.clone(),
-        ))
-    };
-    let (merged, report) = run_launch_with_report(&cfg, &transport)?;
+    let transport = with_faults(Box::new(LocalProc), &state.options.launcher_faults);
+    let (merged, report) = run_launch_with_report(&cfg, transport.as_ref())?;
     let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
 
     // The checkpoints have served their purpose once the artifact exists;
@@ -739,13 +706,14 @@ fn serve_usage() -> String {
      no watchdog)\n  \
      --in-process-jobs    run jobs in-process instead of spawning shard workers\n  \
      --worker-arg ARG     extra argument for every shard worker (repeatable;\n                       \
-     used by fault-injection tests)\n  \
+     used by the worker-probe tests)\n  \
      --launcher SPEC      the fleet sharded jobs run on (same `name[*slots],...`\n                       \
      grammar as `xbar mc launch --hosts`; default\n                       \
      local*<available parallelism>); its slot total bounds\n                       \
      the live shard workers within one job, e.g.\n                       \
      `--launcher local*1` serializes them\n  \
-     --launcher-fault P   inject a transport fault `host=kind[@ordinal]`\n                       \
+     --launcher-fault P   inject a transport fault `host=kind[@ordinal]`, kind\n                       \
+     drop|crash|stall|truncate|die\n                       \
      (repeatable; used by the failure-injection smokes)"
         .to_owned()
 }

@@ -6,7 +6,7 @@
 use super::coordinator::{run_monolithic, RunReport};
 use super::{partial::ShardPartial, run_shard, CampaignFlags, ShardSpec, CAMPAIGN_FLAGS_USAGE};
 use crate::launch::cli::{RunnerFlags, RUNNER_FLAGS_USAGE};
-use crate::launch::{run_launch_with_report, HostSpec, LocalProc};
+use crate::launch::{run_launch_with_report, with_faults, HostSpec, LocalProc};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -15,10 +15,6 @@ struct ShardArgs {
     shard_index: usize,
     num_shards: usize,
     out: PathBuf,
-    inject_fail_once: Option<PathBuf>,
-    inject_fail_always: bool,
-    inject_truncate_once: Option<PathBuf>,
-    inject_hang_once: Option<PathBuf>,
     inject_slow_ms: u64,
     inject_concurrency_dir: Option<PathBuf>,
 }
@@ -30,10 +26,6 @@ impl Default for ShardArgs {
             shard_index: 0,
             num_shards: 1,
             out: PathBuf::from("partial-0.json"),
-            inject_fail_once: None,
-            inject_fail_always: false,
-            inject_truncate_once: None,
-            inject_hang_once: None,
             inject_slow_ms: 0,
             inject_concurrency_dir: None,
         }
@@ -48,11 +40,7 @@ fn shard_usage() -> String {
          --num-shards N     shards in the campaign (default 1)\n  \
          --out PATH         partial-result output path (default partial-0.json);\n                     \
          `-` streams the partial to stdout (remote launch)\n\n\
-         test-only failure injection:\n  \
-         --inject-fail-once MARKER      exit 3 unless MARKER exists (created on the way out)\n  \
-         --inject-fail-always           always exit 4\n  \
-         --inject-truncate-once MARKER  write a torn partial once, then behave\n  \
-         --inject-hang-once MARKER      hang forever unless MARKER exists (watchdog bait)\n  \
+         test-only probes (faults are the runner's --inject-host-fault):\n  \
          --inject-slow-ms N             sleep N ms before running the shard\n  \
          --inject-concurrency-dir DIR   record live-worker counts into DIR/observed.txt"
     )
@@ -76,16 +64,6 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
             "--shard-index" => out.shard_index = num(&flag, value(&flag, &mut it)?)?,
             "--num-shards" => out.num_shards = num(&flag, value(&flag, &mut it)?)?,
             "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
-            "--inject-fail-once" => {
-                out.inject_fail_once = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
-            "--inject-fail-always" => out.inject_fail_always = true,
-            "--inject-truncate-once" => {
-                out.inject_truncate_once = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
-            "--inject-hang-once" => {
-                out.inject_hang_once = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
             "--inject-slow-ms" => {
                 let text = value(&flag, &mut it)?;
                 out.inject_slow_ms = text
@@ -100,20 +78,6 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
         }
     }
     Ok(Some(out))
-}
-
-/// Returns true exactly once per marker path: the marker's exclusive
-/// create picks one winner even among workers starting concurrently.
-fn first_time(marker: &PathBuf) -> bool {
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(marker)
-    {
-        Ok(_) => true,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => false,
-        Err(e) => panic!("cannot create marker {}: {e}", marker.display()),
-    }
 }
 
 /// `xbar mc shard`: runs one contiguous slice of a
@@ -132,27 +96,6 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
             return 2;
         }
     };
-    if args.inject_fail_always {
-        eprintln!("mc shard: injected permanent failure");
-        return 4;
-    }
-    if let Some(marker) = &args.inject_fail_once {
-        if first_time(marker) {
-            eprintln!("mc shard: injected one-shot failure");
-            return 3;
-        }
-    }
-    if let Some(marker) = &args.inject_hang_once {
-        if first_time(marker) {
-            // A worker that never exits: the coordinator's watchdog must
-            // kill it at --shard-timeout (there is nothing else to stop it).
-            eprintln!("mc shard: injected hang (waiting to be killed)");
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
-        }
-    }
-
     let config = args.campaign.clone().into_config();
     if let Err(e) = config.validate() {
         eprintln!("mc shard: {e}");
@@ -207,31 +150,13 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
     code
 }
 
-/// The worker's payload after all injection preambles: optionally write a
-/// torn partial, otherwise fold the slice and write the real one. With
+/// The worker's payload: fold the slice and write the partial. With
 /// `--out -` the partial streams to stdout instead — the remote-launch
 /// transport contract — so stdout carries *only* partial bytes (the
-/// progress note is suppressed; the torn injection prints its truncated
-/// prefix to stdout, exercising the receiver's torn-transfer detection).
+/// progress note goes to stderr).
 fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec) -> i32 {
-    let stream_stdout = args.out.as_os_str() == "-";
-    if let Some(marker) = &args.inject_truncate_once {
-        if first_time(marker) {
-            // A torn write: valid JSON prefix, no `complete` marker.
-            let torn = "{\n  \"schema\": \"xbar-mc-partial/1\", \"trunc";
-            if stream_stdout {
-                print!("{torn}");
-            } else if let Err(e) = std::fs::write(&args.out, torn) {
-                eprintln!("mc shard: cannot write torn partial: {e}");
-                return 1;
-            }
-            eprintln!("mc shard: injected torn partial");
-            return 0;
-        }
-    }
-
     let partial: ShardPartial = run_shard(config, &spec);
-    if stream_stdout {
+    if args.out.as_os_str() == "-" {
         use std::io::Write as _;
         let mut stdout = std::io::stdout().lock();
         if let Err(e) = stdout
@@ -247,9 +172,8 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
         );
         return 0;
     }
-    // Atomic: the coordinator treats any file at this path as a checkpoint
-    // candidate, so it must never observe a half-written partial (the
-    // injected torn write above stays a plain write on purpose).
+    // Atomic: a reader treating any file at this path as a checkpoint
+    // candidate must never observe a half-written partial.
     if let Err(e) = crate::atomic::write_atomic(&args.out, partial.to_json().as_bytes()) {
         eprintln!("mc shard: cannot write {}: {e}", args.out.display());
         return 1;
@@ -382,7 +306,8 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
             config.seed,
             config.defect_rate * 100.0
         );
-        match run_launch_with_report(&cfg, &LocalProc) {
+        let transport = with_faults(Box::new(LocalProc), &args.runner.faults);
+        match run_launch_with_report(&cfg, transport.as_ref()) {
             Ok((merged, report)) => {
                 print_report(&report.base);
                 merged
@@ -447,9 +372,11 @@ mod tests {
             "4",
             "--resume",
             "--worker-arg",
-            "--inject-fail-once",
+            "--inject-slow-ms",
             "--worker-arg",
-            "/tmp/marker",
+            "250",
+            "--inject-host-fault",
+            "local=crash@0",
         ]
         .iter()
         .map(|s| (*s).to_owned())
@@ -460,10 +387,9 @@ mod tests {
         assert_eq!(args.runner.shard_timeout, Some(Duration::from_millis(2500)));
         assert_eq!(args.max_inflight, Some(4));
         assert!(args.runner.resume);
-        assert_eq!(
-            args.runner.worker_args,
-            ["--inject-fail-once", "/tmp/marker"]
-        );
+        assert_eq!(args.runner.worker_args, ["--inject-slow-ms", "250"]);
+        assert_eq!(args.runner.faults.len(), 1);
+        assert_eq!(args.runner.faults[0].host, "local");
     }
 
     #[test]
@@ -476,6 +402,7 @@ mod tests {
             &["--max-inflight", "0"][..],
             &["--max-inflight", "lots"][..],
             &["--worker-arg"][..],
+            &["--inject-host-fault", "local=melt"][..],
         ] {
             let argv = words.iter().map(|s| (*s).to_owned()).collect();
             assert!(parse_coordinate_args(argv).is_err(), "{words:?} must fail");
@@ -485,8 +412,6 @@ mod tests {
     #[test]
     fn shard_args_parse_the_new_injection_hooks() {
         let argv = [
-            "--inject-hang-once",
-            "/tmp/hang",
             "--inject-slow-ms",
             "250",
             "--inject-concurrency-dir",
@@ -496,7 +421,6 @@ mod tests {
         .map(|s| (*s).to_owned())
         .collect();
         let args = parse_shard_args(argv).expect("parses").expect("not help");
-        assert_eq!(args.inject_hang_once, Some(PathBuf::from("/tmp/hang")));
         assert_eq!(args.inject_slow_ms, 250);
         assert_eq!(
             args.inject_concurrency_dir,
@@ -504,6 +428,17 @@ mod tests {
         );
         let bad = vec!["--inject-slow-ms".to_owned(), "soon".to_owned()];
         assert!(parse_shard_args(bad).is_err());
+        // Crash, hang and torn-stream faults are the runner's
+        // `--inject-host-fault`; the worker's old hooks are usage errors.
+        for removed in [
+            &["--inject-fail-once", "/tmp/marker"][..],
+            &["--inject-fail-always"][..],
+            &["--inject-truncate-once", "/tmp/marker"][..],
+            &["--inject-hang-once", "/tmp/marker"][..],
+        ] {
+            let argv = removed.iter().map(|s| (*s).to_owned()).collect();
+            assert_eq!(shard_main(argv), 2, "{removed:?} must be a usage error");
+        }
     }
 
     #[test]

@@ -23,10 +23,14 @@
 //! The merged **stats artifact** ([`render_stats_json`]) contains only
 //! integer-derived statistics, so it is byte-identical across shard
 //! layouts, failure histories, and resumes — `--shards 7` with injected
-//! crashes and a monolithic in-process run produce the same file.
+//! crashes and a monolithic in-process run produce the same file. The
+//! partial, the `campaign.json` manifest and the stats artifact are all
+//! written through [`Json::render_document`], and their campaign-identity
+//! fields through `McConfig::identity_fields`.
 //! Wall-clock runtime moments are merged too (deterministically for a
 //! fixed layout) but reported separately ([`render_timing_table`]).
 
+use super::json::Json;
 use super::partial::ShardPartial;
 use super::{run_shard, McConfig, ShardSpec};
 use crate::experiments::table2::CircuitAccum;
@@ -36,7 +40,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
 /// Schema tag of the merged stats artifact.
 pub const MERGED_SCHEMA: &str = "xbar-mc-merged/1";
@@ -214,25 +217,9 @@ pub(crate) fn validate_partial_for_merge(
     config: &McConfig,
     partial: &ShardPartial,
 ) -> Result<(), String> {
-    let id = format!("shard {}", partial.spec.index);
     partial
-        .validate_config_echo(config)
-        .map_err(|e| format!("{id}: {e}"))?;
-    let expected: u64 = partial.spec.len() as u64;
-    for ((name, accum), campaign_name) in partial.circuits.iter().zip(&config.circuits) {
-        if name != campaign_name {
-            return Err(format!(
-                "{id}: circuit entry {name:?} out of order (expected {campaign_name:?})"
-            ));
-        }
-        if accum.samples() != expected {
-            return Err(format!(
-                "{id}: circuit {name:?} folded {} samples, range holds {expected}",
-                accum.samples()
-            ));
-        }
-    }
-    Ok(())
+        .validate_for(config, &partial.spec)
+        .map_err(|e| format!("shard {}: {e}", partial.spec.index))
 }
 
 /// Checks that `ordered` (ascending by `start`) tiles `0..samples`
@@ -302,49 +289,10 @@ pub fn backoff_delay(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 /// with a different host fleet, and manifests written before host
 /// attribution existed still resume.
 pub fn render_campaign_manifest(config: &McConfig, shards: usize, hosts: &[String]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{CAMPAIGN_SCHEMA}\",");
-    let _ = writeln!(out, "  \"seed\": {},", config.seed);
-    let _ = writeln!(out, "  \"defect_rate\": {:?},", config.defect_rate);
-    let _ = writeln!(out, "  \"samples\": {},", config.samples);
-    let _ = writeln!(out, "  \"shards\": {shards},");
-    let _ = writeln!(out, "  \"rng_stream\": \"{}\",", config.stream);
-    if !hosts.is_empty() {
-        let entries: Vec<String> = hosts
-            .iter()
-            .map(|host| format!("\"{}\"", super::json::escape(host)))
-            .collect();
-        let _ = writeln!(out, "  \"hosts\": [{}],", entries.join(", "));
-    }
-    // Default-model manifests keep their pre-model bytes (so `--resume`
-    // against a run dir written before spatial models existed still
-    // validates); non-default models declare their kind plus exactly the
-    // parameters that kind consumes.
-    if !config.model.is_default() {
-        let _ = writeln!(
-            out,
-            "  \"defect_model\": \"{}\",",
-            config.model.kind().as_str()
-        );
-        if config.model.uses_cluster() {
-            let _ = writeln!(
-                out,
-                "  \"cluster_size\": {:?},",
-                config.model.cluster_size()
-            );
-        }
-        if config.model.uses_lines() {
-            let _ = writeln!(out, "  \"line_rate\": {:?},", config.model.line_rate());
-        }
-    }
-    let names: Vec<String> = config
-        .circuits
-        .iter()
-        .map(|name| format!("\"{}\"", super::json::escape(name)))
-        .collect();
-    let _ = writeln!(out, "  \"circuits\": [{}]", names.join(", "));
-    out.push_str("}\n");
-    out
+    let mut fields = vec![("schema", Json::str(CAMPAIGN_SCHEMA))];
+    fields.extend(config.identity_fields(Some((shards, hosts))));
+    fields.push(("circuits", Json::arr(config.circuits.iter().map(Json::str))));
+    Json::obj(fields).render_document()
 }
 
 /// Every key a `xbar-mc-campaign/1` manifest may carry. The parser
@@ -369,20 +317,20 @@ const CAMPAIGN_MANIFEST_KEYS: [&str; 11] = [
 ];
 
 fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
-    let doc = super::json::Json::parse(text).map_err(|e| format!("malformed manifest: {e}"))?;
+    let doc = Json::parse(text).map_err(|e| format!("malformed manifest: {e}"))?;
     let schema = doc
         .get("schema")
-        .and_then(super::json::Json::as_str)
+        .and_then(Json::as_str)
         .ok_or("manifest missing `schema`")?;
     if schema != CAMPAIGN_SCHEMA {
         return Err(format!(
             "manifest schema mismatch: got {schema:?}, expected {CAMPAIGN_SCHEMA:?}"
         ));
     }
-    if let super::json::Json::Obj(map) = &doc {
-        if let Some(unknown) = map
-            .keys()
-            .find(|key| !CAMPAIGN_MANIFEST_KEYS.contains(&key.as_str()))
+    if let Json::Obj(fields) = &doc {
+        if let Some((unknown, _)) = fields
+            .iter()
+            .find(|(key, _)| !CAMPAIGN_MANIFEST_KEYS.contains(&key.as_str()))
         {
             return Err(format!(
                 "manifest carries unknown key `{unknown}` (written by a newer tool?); \
@@ -390,14 +338,9 @@ fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
             ));
         }
     }
-    let u64_field = |key: &str| {
-        doc.get(key)
-            .and_then(super::json::Json::as_u64)
-            .ok_or_else(|| format!("manifest missing u64 `{key}`"))
-    };
     let circuits = doc
         .get("circuits")
-        .and_then(super::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("manifest missing `circuits` array")?
         .iter()
         .map(|value| {
@@ -407,43 +350,11 @@ fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
                 .ok_or_else(|| "manifest circuit entry is not a string".to_owned())
         })
         .collect::<Result<Vec<String>, String>>()?;
-    let config = McConfig {
-        samples: usize::try_from(u64_field("samples")?)
-            .map_err(|_| "manifest samples exceeds usize".to_owned())?,
-        seed: u64_field("seed")?,
-        defect_rate: doc
-            .get("defect_rate")
-            .and_then(super::json::Json::as_f64)
-            .ok_or("manifest missing f64 `defect_rate`")?,
-        stream: SampleStream::parse(
-            doc.get("rng_stream")
-                .and_then(super::json::Json::as_str)
-                .ok_or("manifest missing `rng_stream`")?,
-        )?,
-        // Absent in manifests written before spatial models existed (and
-        // for default-model campaigns today): both mean i.i.d. sampling.
-        model: {
-            let kind = match doc.get("defect_model").map(super::json::Json::as_str) {
-                None => DefectModelKind::Iid,
-                Some(Some(name)) => DefectModelKind::parse(name)?,
-                Some(None) => return Err("manifest `defect_model` is not a string".to_owned()),
-            };
-            let f64_opt =
-                |key: &str, default: f64| match doc.get(key).map(super::json::Json::as_f64) {
-                    None => Ok(default),
-                    Some(Some(v)) => Ok(v),
-                    Some(None) => Err(format!("manifest `{key}` is not a number")),
-                };
-            DefectModelSpec::new(
-                kind,
-                f64_opt("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
-                f64_opt("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
-            )?
-        },
-        circuits,
-    };
-    let shards = usize::try_from(u64_field("shards")?)
-        .map_err(|_| "manifest shards exceeds usize".to_owned())?;
+    let config = McConfig::from_identity(&doc, "manifest", circuits)?;
+    let shards = doc
+        .get("shards")
+        .and_then(Json::as_usize)
+        .ok_or("manifest missing usize `shards`")?;
     Ok((config, shards))
 }
 
@@ -692,61 +603,23 @@ pub(crate) fn preflight_run_dir(
 /// equivalence proptest compare these bytes directly).
 #[must_use]
 pub fn render_stats_json(merged: &MergedResult) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{MERGED_SCHEMA}\",");
-    let _ = writeln!(out, "  \"experiment\": \"table2\",");
-    let _ = writeln!(out, "  \"seed\": {},", merged.config.seed);
-    let _ = writeln!(out, "  \"defect_rate\": {:?},", merged.config.defect_rate);
-    let _ = writeln!(out, "  \"samples\": {},", merged.config.samples);
-    // V1 artifacts keep their pre-versioning bytes; V2 campaigns declare
-    // the stream they were sampled under.
-    if merged.config.stream != SampleStream::V1 {
-        let _ = writeln!(out, "  \"rng_stream\": \"{}\",", merged.config.stream);
-    }
-    // Same freeze rule for the spatial model: default (i.i.d.) artifacts
-    // keep their pre-model bytes.
-    if !merged.config.model.is_default() {
-        let _ = writeln!(
-            out,
-            "  \"defect_model\": \"{}\",",
-            merged.config.model.kind().as_str()
-        );
-        if merged.config.model.uses_cluster() {
-            let _ = writeln!(
-                out,
-                "  \"cluster_size\": {:?},",
-                merged.config.model.cluster_size()
-            );
-        }
-        if merged.config.model.uses_lines() {
-            let _ = writeln!(
-                out,
-                "  \"line_rate\": {:?},",
-                merged.config.model.line_rate()
-            );
-        }
-    }
-    let _ = writeln!(out, "  \"circuits\": [");
-    for (idx, (name, accum)) in merged.circuits.iter().enumerate() {
-        let comma = if idx + 1 < merged.circuits.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"samples\": {}, \"hba_successes\": {}, \
-             \"hba_success_rate\": {:?}, \"ea_successes\": {}, \"ea_success_rate\": {:?}}}{comma}",
-            super::json::escape(name),
-            accum.samples(),
-            accum.hba.successes,
-            accum.hba.rate(),
-            accum.ea.successes,
-            accum.ea.rate(),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let mut fields = vec![
+        ("schema", Json::str(MERGED_SCHEMA)),
+        ("experiment", Json::str("table2")),
+    ];
+    fields.extend(merged.config.identity_fields(None));
+    let circuits = merged.circuits.iter().map(|(name, accum)| {
+        Json::obj([
+            ("name", Json::str(name)),
+            ("samples", Json::u64(accum.samples())),
+            ("hba_successes", Json::u64(accum.hba.successes)),
+            ("hba_success_rate", Json::f64(accum.hba.rate())),
+            ("ea_successes", Json::u64(accum.ea.successes)),
+            ("ea_success_rate", Json::f64(accum.ea.rate())),
+        ])
+    });
+    fields.push(("circuits", Json::arr(circuits)));
+    Json::obj(fields).render_document()
 }
 
 /// Renders the informational runtime summary (means/standard deviations
@@ -785,6 +658,7 @@ pub fn render_timing_table(merged: &MergedResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
     fn config() -> McConfig {
         McConfig {
@@ -951,7 +825,7 @@ mod tests {
     fn stats_json_is_parseable_and_has_rates() {
         let merged = run_monolithic(&config());
         let json = render_stats_json(&merged);
-        let doc = super::super::json::Json::parse(&json).expect("valid json");
+        let doc = Json::parse(&json).expect("valid json");
         assert_eq!(
             doc.get("schema").and_then(|s| s.as_str()),
             Some(MERGED_SCHEMA)

@@ -1,31 +1,43 @@
-//! Minimal hand-rolled JSON reader for shard partial-result files (the
-//! workspace deliberately carries no serde).
+//! The workspace's one JSON value type, [`Json`]: every document the
+//! program reads or writes goes through it — experiment artifacts,
+//! `xbar-svc/1` protocol lines, shard partials, `campaign.json` manifests
+//! and merged stats (the workspace deliberately carries no serde).
 //!
-//! Numbers are kept as **raw source slices** and converted on access:
-//! routing a `u64` seed through `f64` would corrupt values above 2^53, and
-//! `f64`s written with Rust's shortest-round-trip `Display` parse back to
-//! the identical bits only when the text is handed to `str::parse::<f64>`
-//! untouched.
+//! Numbers are kept as **raw text** in both directions: routing a `u64`
+//! seed through `f64` would corrupt values above 2^53, and `f64`s written
+//! with Rust's shortest-round-trip representation parse back to the
+//! identical bits only when the text is handed to `str::parse::<f64>`
+//! untouched. Objects keep their fields in insertion order, so a parsed
+//! document re-renders to the bytes it was read from.
+//!
+//! Parser input can come from the network (protocol lines, remote
+//! partial streams), so malformed input — duplicate keys, nesting deeper
+//! than 128 levels, truncation — is a [`JsonError`], never a panic.
 
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use std::fmt;
 
-/// A parsed JSON value.
+/// The deepest array/object nesting [`Json::parse`] accepts. Far above
+/// any document the program writes (artifacts nest about five levels),
+/// and low enough that the recursive parser stays well inside a default
+/// thread stack whatever a peer sends.
+const MAX_DEPTH: usize = 128;
+
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as its raw text.
+    /// A number as raw text (build with [`Json::u64`] / [`Json::f64`]).
     Num(String),
-    /// A string (escapes decoded).
+    /// A string (escapes decoded; escaped again on render).
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Keys are unique; insertion order is not preserved
-    /// (sorted), which is fine for a data document.
-    Obj(BTreeMap<String, Json>),
+    /// An object: unique keys, in insertion order.
+    Obj(Vec<(String, Json)>),
 }
 
 /// Parse error: message plus byte offset into the input.
@@ -53,12 +65,14 @@ impl Json {
     ///
     /// Returns a [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(err("trailing garbage after document", pos));
+        let mut parser = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let value = parser.value(0)?;
+        parser.skip_ws();
+        if parser.pos != parser.bytes.len() {
+            return Err(parser.err("trailing garbage after document"));
         }
         Ok(value)
     }
@@ -67,7 +81,7 @@ impl Json {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(map) => map.get(key),
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -84,25 +98,23 @@ impl Json {
     /// The value as a `u64`, when it is an unsigned integer number.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
+        self.parse_num()
     }
 
     /// The value as a `usize`, when it is an unsigned integer number.
     #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
+        self.parse_num()
     }
 
     /// The value as an `f64`, when it is a number. Bit-exact for numbers
     /// written with Rust's `Display`/`Debug` shortest representation.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
+        self.parse_num()
+    }
+
+    fn parse_num<T: std::str::FromStr>(&self) -> Option<T> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -126,42 +138,17 @@ impl Json {
             _ => None,
         }
     }
-}
 
-/// An insertion-ordered JSON document under construction — the writing
-/// counterpart of [`Json`]. Numbers are stored as **raw text** (the same
-/// discipline the parser keeps): integers in decimal, floats in Rust's
-/// shortest-round-trip representation, so a rendered document re-parses to
-/// bit-identical values on any host. Object fields render in insertion
-/// order, which keeps rendered artifacts byte-stable and human-readable
-/// (`schema` first, payload last).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number as raw text (use [`JsonValue::u64`] / [`JsonValue::f64`]).
-    Num(String),
-    /// A string (escaped on render).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object with insertion-ordered fields.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
     /// A `u64` number (decimal raw text; lossless above 2^53).
     #[must_use]
     pub fn u64(value: u64) -> Self {
-        JsonValue::Num(value.to_string())
+        Json::Num(value.to_string())
     }
 
     /// A `usize` number.
     #[must_use]
     pub fn usize(value: usize) -> Self {
-        JsonValue::Num(value.to_string())
+        Json::Num(value.to_string())
     }
 
     /// An `f64` number in shortest-round-trip form.
@@ -169,17 +156,17 @@ impl JsonValue {
     /// # Panics
     ///
     /// Panics on NaN/Infinity — JSON has no literal for them, and every
-    /// value that reaches an artifact must stay finite.
+    /// value that reaches a document must stay finite.
     #[must_use]
     pub fn f64(value: f64) -> Self {
         assert!(value.is_finite(), "artifact numbers must stay NaN/Inf-free");
-        JsonValue::Num(format!("{value:?}"))
+        Json::Num(format!("{value:?}"))
     }
 
     /// A string value.
     #[must_use]
     pub fn str(value: impl Into<String>) -> Self {
-        JsonValue::Str(value.into())
+        Json::Str(value.into())
     }
 
     /// An object from `(key, value)` pairs, preserving their order.
@@ -187,138 +174,134 @@ impl JsonValue {
     /// # Panics
     ///
     /// Panics on duplicate keys — a duplicate silently shadowing a field
-    /// is exactly the kind of schema bug the canonical artifact must not
+    /// is exactly the kind of schema bug a written document must not
     /// carry (the parser rejects duplicates too).
     #[must_use]
-    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
-        let fields: Vec<(String, JsonValue)> =
-            fields.into_iter().map(|(k, v)| (k.into(), v)).collect();
-        for (i, (key, _)) in fields.iter().enumerate() {
-            assert!(
-                !fields[..i].iter().any(|(k, _)| k == key),
-                "duplicate object key {key:?}"
-            );
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Self {
+        let fields: Vec<(String, Json)> = fields.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        let mut seen = HashSet::with_capacity(fields.len());
+        for (key, _) in &fields {
+            assert!(seen.insert(key.as_str()), "duplicate object key {key:?}");
         }
-        JsonValue::Obj(fields)
+        Json::Obj(fields)
     }
 
     /// An array from values.
     #[must_use]
-    pub fn arr(items: impl IntoIterator<Item = JsonValue>) -> Self {
-        JsonValue::Arr(items.into_iter().collect())
+    pub fn arr(items: impl IntoIterator<Item = Json>) -> Self {
+        Json::Arr(items.into_iter().collect())
     }
 
-    /// Renders the document as fully-expanded pretty JSON (2-space
-    /// indentation, one field/element per line, no trailing newline).
-    /// The output is deterministic: the same value tree always renders to
-    /// the same bytes.
+    /// Renders the value as fully-expanded pretty JSON (2-space
+    /// indentation, one field/element per line, no trailing newline) —
+    /// the `xbar-artifact/1` layout.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    /// Renders the document as a single line (no newlines; `": "` after
-    /// keys and `", "` between fields/elements). This is the wire form of
-    /// the `xbar-svc/1` protocol: one message per line, still readable
-    /// enough that smoke tests can grep for `"cache_hits": 1` verbatim.
-    /// Deterministic like [`JsonValue::render`].
+    /// Renders the value on a single line (`": "` after keys, `", "`
+    /// between fields/elements) — the wire form of the `xbar-svc/1`
+    /// protocol, still readable enough that smoke tests can grep for
+    /// `"cache_hits": 1` verbatim.
     #[must_use]
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.render_compact_into(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn render_compact_into(&self, out: &mut String) {
+    /// Renders an object in the campaign-document layout (shard
+    /// partials, `campaign.json`, merged stats): top-level fields one per
+    /// line, an array of objects one compact element per line, every
+    /// other value compact, and a trailing newline.
+    #[must_use]
+    pub fn render_document(&self) -> String {
+        let mut out = String::new();
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(raw) => out.push_str(raw),
-            JsonValue::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
+            Json::Obj(fields) => write_seq(&mut out, "{}", fields, Some(0), |out, (key, value)| {
+                write_key(out, key);
+                match value {
+                    Json::Arr(items) if items.iter().all(|item| matches!(item, Json::Obj(_))) => {
+                        write_seq(out, "[]", items, Some(1), |out, item| item.write(out, None));
                     }
-                    item.render_compact_into(out);
+                    other => other.write(out, None),
                 }
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\": ");
-                    value.render_compact_into(out);
-                }
-                out.push('}');
-            }
+            }),
+            other => other.write(&mut out, None),
         }
+        out.push('\n');
+        out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close_pad = "  ".repeat(indent);
+    /// Writes the value compact (`indent` `None`) or pretty at nesting
+    /// level `indent`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|level| level + 1);
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(raw) => out.push_str(raw),
-            JsonValue::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            JsonValue::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close_pad);
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    out.push_str(&pad);
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\": ");
-                    value.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close_pad);
-                out.push('}');
-            }
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(raw) => out.push_str(raw),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_seq(out, "[]", items, indent, |out, item| {
+                item.write(out, inner);
+            }),
+            Json::Obj(fields) => write_seq(out, "{}", fields, indent, |out, (key, value)| {
+                write_key(out, key);
+                value.write(out, inner);
+            }),
         }
     }
 }
 
-/// Escapes a string for embedding in a JSON document (used by the
-/// hand-rolled writers; covers the control characters JSON requires).
-#[must_use]
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
+/// Writes `items` between the two bracket characters of `brackets`:
+/// `", "`-separated on one line when `indent` is `None`, else one item
+/// per line indented one level deeper than `indent`. Empty sequences
+/// render as the bare brackets either way.
+fn write_seq<T>(
+    out: &mut String,
+    brackets: &str,
+    items: &[T],
+    indent: Option<usize>,
+    mut write_item: impl FnMut(&mut String, &T),
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    for (i, item) in items.iter().enumerate() {
+        match indent {
+            None if i > 0 => out.push_str(", "),
+            None => {}
+            Some(level) => {
+                out.push_str(if i > 0 { ",\n" } else { "\n" });
+                write_indent(out, level + 1);
+            }
+        }
+        write_item(out, item);
+    }
+    if let (Some(level), false) = (indent, items.is_empty()) {
+        out.push('\n');
+        write_indent(out, level);
+    }
+    out.push_str(close);
+}
+
+fn write_indent(out: &mut String, level: usize) {
+    for _ in 0..level {
+        out.push_str("  ");
+    }
+}
+
+fn write_key(out: &mut String, key: &str) {
+    write_str(out, key);
+    out.push_str(": ");
+}
+
+/// Writes a quoted, escaped JSON string (covering the control characters
+/// JSON requires).
+fn write_str(out: &mut String, text: &str) {
+    out.push('"');
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -326,206 +309,204 @@ pub fn escape(text: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
-fn err(message: &str, offset: usize) -> JsonError {
-    JsonError {
-        message: message.to_owned(),
-        offset,
+/// A cursor over the input bytes. The input is a `&str`, so the byte
+/// stream is valid UTF-8 by construction.
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, message: &str) -> JsonError {
+        JsonError {
+            message: message.to_owned(),
+            offset: self.pos,
+        }
     }
-}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
-}
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
-    if *pos < bytes.len() && bytes[*pos] == byte {
-        *pos += 1;
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `byte` (after whitespace) when it is next.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let hit = self.peek() == Some(byte);
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", byte as char)))
+        }
+    }
+
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(&format!("expected {what}")));
+        }
         Ok(())
-    } else {
-        Err(err(&format!("expected {:?}", byte as char), *pos))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(_) => Err(err("unexpected character", *pos)),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Json,
-) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(&format!("expected `{word}`"), *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(err("expected digits", *pos));
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(err("expected fraction digits", *pos));
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(err("expected exponent digits", *pos));
-        }
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number");
-    Ok(Json::Num(raw.to_owned()))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// One value at nesting `depth` (the number of enclosing containers).
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err("non-ascii \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err("bad \\u escape", *pos))?;
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| err("surrogate \\u escape unsupported", *pos))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(err("bad escape", *pos)),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            Some(_) => Err(self.err("unexpected character")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        self.digits("digits")?;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("fraction digits")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("exponent digits")?;
+        }
+        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        Ok(Json::Num(raw.to_owned()))
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("valid utf8");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let c = char::from_u32(code)
+                                .ok_or_else(|| self.err("surrogate \\u escape unsupported"))?;
+                            out.push(c);
+                            self.pos += 4;
+                        }
+                        _ => return Err(self.err("bad escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf8");
+                    let c = rest.chars().next().expect("non-empty");
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
             }
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        if self.eat(b']') {
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth)?);
+            if self.eat(b']') {
                 return Ok(Json::Arr(items));
             }
-            _ => return Err(err("expected `,` or `]`", *pos)),
+            if !self.eat(b',') {
+                return Err(self.err("expected `,` or `]`"));
+            }
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        if map.insert(key, value).is_some() {
-            return Err(err("duplicate object key", *pos));
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.eat(b'}') {
+            return Ok(Json::Obj(fields));
         }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
+        // A key set, not a scan of `fields`: a peer-sent object with many
+        // keys must not cost quadratic time.
+        let mut seen = HashSet::new();
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            let value = self.value(depth)?;
+            if !seen.insert(key.clone()) {
+                return Err(self.err("duplicate object key"));
             }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
+            fields.push((key, value));
+            if self.eat(b'}') {
+                return Ok(Json::Obj(fields));
             }
-            _ => return Err(err("expected `,` or `}`", *pos)),
+            if !self.eat(b',') {
+                return Err(self.err("expected `,` or `}`"));
+            }
         }
     }
 }
@@ -583,17 +564,46 @@ mod tests {
     }
 
     #[test]
+    fn objects_keep_insertion_order_through_a_parse() {
+        let text = r#"{"z": 1, "a": {"y": [], "b": {}}, "m": "s"}"#;
+        let doc = Json::parse(text).expect("parses");
+        let Json::Obj(fields) = &doc else {
+            panic!("object expected")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["z", "a", "m"]);
+        assert_eq!(doc.render_compact(), text);
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_a_typed_error() {
+        // Deep enough to overflow a default thread stack if the recursive
+        // parser followed it; it must stop at MAX_DEPTH instead.
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).expect_err("must fail");
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\": ".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
     fn writer_renders_deterministic_insertion_ordered_documents() {
-        let doc = JsonValue::obj([
-            ("schema", JsonValue::str("demo/1")),
-            ("seed", JsonValue::u64(u64::MAX - 7)),
-            ("rate", JsonValue::f64(0.1)),
+        let doc = Json::obj([
+            ("schema", Json::str("demo/1")),
+            ("seed", Json::u64(u64::MAX - 7)),
+            ("rate", Json::f64(0.1)),
             (
                 "items",
-                JsonValue::arr([JsonValue::usize(3), JsonValue::Bool(true), JsonValue::Null]),
+                Json::arr([Json::usize(3), Json::Bool(true), Json::Null]),
             ),
-            ("empty_obj", JsonValue::obj::<String>([])),
-            ("empty_arr", JsonValue::arr([])),
+            ("empty_obj", Json::obj::<String>([])),
+            ("empty_arr", Json::arr([])),
         ]);
         let text = doc.render();
         // Insertion order preserved: schema renders first.
@@ -607,14 +617,16 @@ mod tests {
             back.get("rate").unwrap().as_f64().unwrap().to_bits(),
             0.1f64.to_bits()
         );
-        // Deterministic: rendering twice yields identical bytes.
+        // Deterministic: rendering twice yields identical bytes, and the
+        // parse gives back the same tree.
         assert_eq!(doc.render(), text);
+        assert_eq!(back, doc);
     }
 
     #[test]
     fn writer_numbers_roundtrip_bitwise() {
         for x in [0.1_f64, -0.0, 1.0 / 3.0, f64::MIN_POSITIVE, 2.2e-308] {
-            let text = JsonValue::obj([("x", JsonValue::f64(x))]).render();
+            let text = Json::obj([("x", Json::f64(x))]).render();
             let back = Json::parse(&text).expect("parses");
             assert_eq!(
                 back.get("x").unwrap().as_f64().unwrap().to_bits(),
@@ -625,16 +637,13 @@ mod tests {
 
     #[test]
     fn compact_rendering_is_single_line_and_reparses() {
-        let doc = JsonValue::obj([
-            ("svc", JsonValue::str("xbar-svc/1")),
-            ("type", JsonValue::str("stats")),
-            ("cache_hits", JsonValue::u64(1)),
-            (
-                "jobs",
-                JsonValue::arr([JsonValue::usize(1), JsonValue::usize(2)]),
-            ),
-            ("empty_obj", JsonValue::obj::<String>([])),
-            ("note", JsonValue::str("line\nbreak")),
+        let doc = Json::obj([
+            ("svc", Json::str("xbar-svc/1")),
+            ("type", Json::str("stats")),
+            ("cache_hits", Json::u64(1)),
+            ("jobs", Json::arr([Json::usize(1), Json::usize(2)])),
+            ("empty_obj", Json::obj::<String>([])),
+            ("note", Json::str("line\nbreak")),
         ]);
         let line = doc.render_compact();
         assert!(!line.contains('\n'), "wire form must stay on one line");
@@ -649,23 +658,45 @@ mod tests {
     }
 
     #[test]
+    fn document_layout_puts_fields_and_object_elements_on_their_own_lines() {
+        let doc = Json::obj([
+            ("schema", Json::str("demo/1")),
+            ("shard", Json::obj([("index", Json::usize(1))])),
+            ("names", Json::arr([Json::str("a"), Json::str("b")])),
+            (
+                "rows",
+                Json::arr([
+                    Json::obj([("n", Json::usize(1))]),
+                    Json::obj([("n", Json::usize(2))]),
+                ]),
+            ),
+        ]);
+        let text = doc.render_document();
+        assert_eq!(
+            text,
+            "{\n  \"schema\": \"demo/1\",\n  \"shard\": {\"index\": 1},\n  \
+             \"names\": [\"a\", \"b\"],\n  \"rows\": [\n    {\"n\": 1},\n    {\"n\": 2}\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&text).unwrap().render_document(), text);
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate object key")]
     fn writer_rejects_duplicate_keys() {
-        let _ = JsonValue::obj([("a", JsonValue::Null), ("a", JsonValue::Null)]);
+        let _ = Json::obj([("a", Json::Null), ("a", Json::Null)]);
     }
 
     #[test]
     #[should_panic(expected = "NaN/Inf-free")]
     fn writer_rejects_nan() {
-        let _ = JsonValue::f64(f64::NAN);
+        let _ = Json::f64(f64::NAN);
     }
 
     #[test]
     fn escape_covers_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        let doc = format!("{{\"s\": \"{}\"}}", escape("a\"b\\c\n\u{1}"));
-        let v = Json::parse(&doc).expect("parses");
-        assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\n\u{1}"));
+        let text = "a\"b\\c\n\u{1}";
+        let line = Json::str(text).render_compact();
+        assert_eq!(line, "\"a\\\"b\\\\c\\n\\u0001\"");
+        assert_eq!(Json::parse(&line).unwrap().as_str(), Some(text));
     }
 }

@@ -6,8 +6,8 @@
 //! be reproduced by any process that knows the experiment configuration
 //! and its [`ShardSpec`]. Each worker folds its slice into the mergeable
 //! accumulators of [`xbar_core::stats`] and writes a self-describing
-//! partial-result file ([`partial::ShardPartial`], hand-rolled JSON via
-//! [`json`]). The campaign runner ([`crate::launch::scheduler`]) —
+//! partial-result file ([`partial::ShardPartial`], written and read
+//! through the workspace's JSON type in [`json`]). The campaign runner ([`crate::launch::scheduler`]) —
 //! bounded event-driven scheduling, watchdog timeouts for hung workers,
 //! per-shard deterministic backoff retry, and checkpoint/resume over a
 //! per-campaign run directory — dispatches the workers; `xbar mc
@@ -35,6 +35,7 @@ pub mod partial;
 
 use crate::cli::ExpArgs;
 use crate::experiments::table2::{run_circuit_range, table2_circuit_names, CircuitAccum};
+use json::Json;
 use std::ops::Range;
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_logic::bench_reg::find;
@@ -150,6 +151,91 @@ impl McConfig {
             return Err("no circuits selected".to_owned());
         }
         Ok(())
+    }
+
+    /// The campaign-identity fields every campaign document carries, in
+    /// document order: `seed`, `defect_rate`, `samples`, `rng_stream` and
+    /// the spatial model. Partials and merged stats (`manifest` `None`)
+    /// echo the stream only when it is not V1 and the model only when it
+    /// is not i.i.d., so default campaigns keep the bytes they had before
+    /// either existed. A `campaign.json` manifest (`Some((shards,
+    /// hosts))`) adds `shards` after `samples`, always names its stream,
+    /// and follows it with the host attribution when there is one.
+    pub(crate) fn identity_fields(
+        &self,
+        manifest: Option<(usize, &[String])>,
+    ) -> Vec<(&'static str, Json)> {
+        let mut fields = vec![
+            ("seed", Json::u64(self.seed)),
+            ("defect_rate", Json::f64(self.defect_rate)),
+            ("samples", Json::usize(self.samples)),
+        ];
+        if let Some((shards, _)) = manifest {
+            fields.push(("shards", Json::usize(shards)));
+        }
+        if manifest.is_some() || self.stream != SampleStream::V1 {
+            fields.push(("rng_stream", Json::str(self.stream.as_str())));
+        }
+        if let Some((_, hosts)) = manifest.filter(|(_, hosts)| !hosts.is_empty()) {
+            fields.push(("hosts", Json::arr(hosts.iter().map(Json::str))));
+        }
+        if !self.model.is_default() {
+            fields.push(("defect_model", Json::str(self.model.kind().as_str())));
+            if self.model.uses_cluster() {
+                fields.push(("cluster_size", Json::f64(self.model.cluster_size())));
+            }
+            if self.model.uses_lines() {
+                fields.push(("line_rate", Json::f64(self.model.line_rate())));
+            }
+        }
+        fields
+    }
+
+    /// Reads back what [`McConfig::identity_fields`] wrote, with the
+    /// circuit list the caller read from its own layout. An absent
+    /// `rng_stream` means V1 and an absent `defect_model` means i.i.d.,
+    /// exactly as written. `what` names the document in error messages.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or mistyped field.
+    pub(crate) fn from_identity(
+        doc: &Json,
+        what: &str,
+        circuits: Vec<String>,
+    ) -> Result<Self, String> {
+        let u64_field = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("{what} missing u64 `{key}`"))
+        };
+        let str_opt = |key: &str| match doc.get(key).map(Json::as_str) {
+            None => Ok(None),
+            Some(Some(text)) => Ok(Some(text)),
+            Some(None) => Err(format!("{what} `{key}` is not a string")),
+        };
+        let f64_opt = |key: &str, default: f64| match doc.get(key).map(Json::as_f64) {
+            None => Ok(default),
+            Some(Some(value)) => Ok(value),
+            Some(None) => Err(format!("{what} `{key}` is not a number")),
+        };
+        let model = DefectModelSpec::new(
+            str_opt("defect_model")?.map_or(Ok(DefectModelKind::Iid), DefectModelKind::parse)?,
+            f64_opt("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
+            f64_opt("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
+        )?;
+        Ok(Self {
+            samples: usize::try_from(u64_field("samples")?)
+                .map_err(|_| format!("{what} samples exceeds usize"))?,
+            seed: u64_field("seed")?,
+            defect_rate: doc
+                .get("defect_rate")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("{what} missing f64 `defect_rate`"))?,
+            stream: str_opt("rng_stream")?.map_or(Ok(SampleStream::V1), SampleStream::parse)?,
+            model,
+            circuits,
+        })
     }
 
     /// The equivalent single-process experiment arguments.

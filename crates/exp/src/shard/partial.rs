@@ -9,12 +9,10 @@
 //! shortest-round-trip representation (the parser keeps number tokens as
 //! raw text precisely so this holds; see [`super::json`]).
 
-use super::json::{escape, Json};
+use super::json::Json;
 use super::{McConfig, ShardSpec};
 use crate::experiments::table2::CircuitAccum;
-use std::fmt::Write as _;
 use xbar_core::stats::{Moments, SuccessCount};
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
 /// Schema tag written into (and required from) every partial file.
 pub const PARTIAL_SCHEMA: &str = "xbar-mc-partial/1";
@@ -31,39 +29,33 @@ pub struct ShardPartial {
     pub circuits: Vec<(String, CircuitAccum)>,
 }
 
-/// Writes an `f64` in shortest-round-trip form, guarding the NaN-free
-/// invariant of the accumulators (JSON has no NaN/Infinity literal).
-fn fmt_f64(value: f64) -> String {
-    assert!(value.is_finite(), "accumulators must stay NaN/Inf-free");
-    format!("{value:?}")
+fn moments_json(m: &Moments) -> Json {
+    Json::obj([
+        ("count", Json::u64(m.count)),
+        ("mean", Json::f64(m.mean)),
+        ("m2", Json::f64(m.m2)),
+    ])
 }
 
-fn write_moments(out: &mut String, key: &str, m: &Moments) {
-    let _ = write!(
-        out,
-        "\"{key}\": {{\"count\": {}, \"mean\": {}, \"m2\": {}}}",
-        m.count,
-        fmt_f64(m.mean),
-        fmt_f64(m.m2)
-    );
-}
-
-fn parse_moments(value: &Json, context: &str) -> Result<Moments, String> {
-    let field = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
+/// Reads the moments object at `circuit[key]`.
+fn parse_moments(circuit: &Json, key: &str, context: &str) -> Result<Moments, String> {
+    let moments = circuit
+        .get(key)
+        .ok_or_else(|| format!("{context}: missing `{key}`"))?;
+    let field = |name: &str| {
+        moments
+            .get(name)
+            .ok_or_else(|| format!("{context}: missing `{name}`"))
     };
+    let not_a = |name: &str, kind: &str| format!("{context}: `{name}` is not a {kind}");
     Ok(Moments {
         count: field("count")?
             .as_u64()
-            .ok_or_else(|| format!("{context}: `count` is not a u64"))?,
+            .ok_or_else(|| not_a("count", "u64"))?,
         mean: field("mean")?
             .as_f64()
-            .ok_or_else(|| format!("{context}: `mean` is not a number"))?,
-        m2: field("m2")?
-            .as_f64()
-            .ok_or_else(|| format!("{context}: `m2` is not a number"))?,
+            .ok_or_else(|| not_a("mean", "number"))?,
+        m2: field("m2")?.as_f64().ok_or_else(|| not_a("m2", "number"))?,
     })
 }
 
@@ -161,76 +153,36 @@ impl ShardPartial {
     /// Renders the partial as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{PARTIAL_SCHEMA}\",");
-        let _ = writeln!(out, "  \"experiment\": \"table2\",");
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(
-            out,
-            "  \"defect_rate\": {},",
-            fmt_f64(self.config.defect_rate)
-        );
-        let _ = writeln!(out, "  \"samples\": {},", self.config.samples);
-        // Echoed only for non-default streams: V1 partials keep the exact
-        // bytes they had before stream versioning existed.
-        if self.config.stream != SampleStream::V1 {
-            let _ = writeln!(out, "  \"rng_stream\": \"{}\",", self.config.stream);
-        }
-        // Same freeze rule for the spatial model: default (i.i.d.) partials
-        // keep their pre-model bytes; non-default models declare their kind
-        // and whichever parameters that kind consumes.
-        if !self.config.model.is_default() {
-            let _ = writeln!(
-                out,
-                "  \"defect_model\": \"{}\",",
-                self.config.model.kind().as_str()
-            );
-            if self.config.model.uses_cluster() {
-                let _ = writeln!(
-                    out,
-                    "  \"cluster_size\": {},",
-                    fmt_f64(self.config.model.cluster_size())
-                );
-            }
-            if self.config.model.uses_lines() {
-                let _ = writeln!(
-                    out,
-                    "  \"line_rate\": {},",
-                    fmt_f64(self.config.model.line_rate())
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  \"shard\": {{\"index\": {}, \"num_shards\": {}, \"start\": {}, \"end\": {}}},",
-            self.spec.index, self.spec.num_shards, self.spec.start, self.spec.end
-        );
-        let _ = writeln!(out, "  \"circuits\": [");
-        for (idx, (name, accum)) in self.circuits.iter().enumerate() {
-            let comma = if idx + 1 < self.circuits.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"samples\": {}, \"hba_successes\": {}, \
-                 \"ea_successes\": {}, ",
-                escape(name),
-                accum.samples(),
-                accum.hba.successes,
-                accum.ea.successes
-            );
-            write_moments(&mut out, "hba_time", &accum.hba_time);
-            out.push_str(", ");
-            write_moments(&mut out, "ea_time", &accum.ea_time);
-            let _ = writeln!(out, "}}{comma}");
-        }
-        out.push_str("  ],\n");
-        // Written last: a truncated file cannot carry it, and the parser
-        // requires it, so torn writes are always detected.
-        out.push_str("  \"complete\": true\n}\n");
-        out
+        let mut fields = vec![
+            ("schema", Json::str(PARTIAL_SCHEMA)),
+            ("experiment", Json::str("table2")),
+        ];
+        fields.extend(self.config.identity_fields(None));
+        let spec = &self.spec;
+        fields.push((
+            "shard",
+            Json::obj([
+                ("index", Json::usize(spec.index)),
+                ("num_shards", Json::usize(spec.num_shards)),
+                ("start", Json::usize(spec.start)),
+                ("end", Json::usize(spec.end)),
+            ]),
+        ));
+        let circuits = self.circuits.iter().map(|(name, accum)| {
+            Json::obj([
+                ("name", Json::str(name)),
+                ("samples", Json::u64(accum.samples())),
+                ("hba_successes", Json::u64(accum.hba.successes)),
+                ("ea_successes", Json::u64(accum.ea.successes)),
+                ("hba_time", moments_json(&accum.hba_time)),
+                ("ea_time", moments_json(&accum.ea_time)),
+            ])
+        });
+        fields.push(("circuits", Json::arr(circuits)));
+        // Written last: a truncated document cannot carry it, and the
+        // parser requires it, so torn streams are always detected.
+        fields.push(("complete", Json::Bool(true)));
+        Json::obj(fields).render_document()
     }
 
     /// Parses and validates a partial-result document.
@@ -253,11 +205,6 @@ impl ShardPartial {
         if doc.get("complete").and_then(Json::as_bool) != Some(true) {
             return Err("partial not marked complete (torn write?)".to_owned());
         }
-        let u64_field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("partial missing u64 `{key}`"))
-        };
         let shard = doc.get("shard").ok_or("partial missing `shard`")?;
         let shard_field = |key: &str| {
             shard
@@ -311,58 +258,14 @@ impl ShardPartial {
                     samples,
                     successes: count("ea_successes")?,
                 },
-                hba_time: parse_moments(
-                    value
-                        .get("hba_time")
-                        .ok_or_else(|| format!("{context}: missing `hba_time`"))?,
-                    &context,
-                )?,
-                ea_time: parse_moments(
-                    value
-                        .get("ea_time")
-                        .ok_or_else(|| format!("{context}: missing `ea_time`"))?,
-                    &context,
-                )?,
+                hba_time: parse_moments(value, "hba_time", &context)?,
+                ea_time: parse_moments(value, "ea_time", &context)?,
             };
             circuits.push((name, accum));
         }
-        // Absent in files written before spatial models existed (and by
-        // default-model workers today): both mean i.i.d. sampling.
-        let model_kind = match doc.get("defect_model").map(Json::as_str) {
-            None => DefectModelKind::Iid,
-            Some(Some(name)) => DefectModelKind::parse(name)?,
-            Some(None) => return Err("`defect_model` is not a string".to_owned()),
-        };
-        let f64_opt = |key: &str, default: f64| match doc.get(key).map(Json::as_f64) {
-            None => Ok(default),
-            Some(Some(v)) => Ok(v),
-            Some(None) => Err(format!("`{key}` is not a number")),
-        };
-        let model = DefectModelSpec::new(
-            model_kind,
-            f64_opt("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
-            f64_opt("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
-        )?;
+        let names = circuits.iter().map(|(name, _)| name.clone()).collect();
         Ok(ShardPartial {
-            config: McConfig {
-                samples: u64_field("samples")?
-                    .try_into()
-                    .map_err(|_| "samples exceeds usize".to_owned())?,
-                seed: u64_field("seed")?,
-                defect_rate: doc
-                    .get("defect_rate")
-                    .and_then(Json::as_f64)
-                    .ok_or("partial missing f64 `defect_rate`")?,
-                // Absent in files written before stream versioning (and by
-                // V1 workers today): both mean the frozen V1 stream.
-                stream: match doc.get("rng_stream").map(Json::as_str) {
-                    None => SampleStream::V1,
-                    Some(Some(name)) => SampleStream::parse(name)?,
-                    Some(None) => return Err("`rng_stream` is not a string".to_owned()),
-                },
-                model,
-                circuits: circuits.iter().map(|(name, _)| name.clone()).collect(),
-            },
+            config: McConfig::from_identity(&doc, "partial", names)?,
             spec,
             circuits,
         })
@@ -372,6 +275,7 @@ impl ShardPartial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
     fn sample_partial() -> ShardPartial {
         let mut accum = CircuitAccum::new();

@@ -187,7 +187,12 @@ fn quarantined_host_receives_no_further_shards() {
 #[test]
 fn hedged_straggler_wins_on_the_other_host_and_the_loser_is_discarded() {
     let mut cfg = launch("hedge", "alpha,beta");
-    cfg.hedge_after = Some(Duration::from_millis(50));
+    // The stalled flight's worker really runs and competes for the CPU,
+    // so beta may need more than a few tens of milliseconds per shard.
+    // The hedge must wait until beta has drained the queue: a hedge that
+    // wins earlier frees alpha, which then legitimately completes the
+    // last queued shard.
+    cfg.hedge_after = Some(Duration::from_secs(1));
     let transport = faults(&["alpha=stall@0"]);
     let (merged, report) = run_launch_with_report(&cfg, &transport).expect("launch");
     assert_eq!(

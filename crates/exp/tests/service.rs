@@ -14,6 +14,7 @@ use xbar_core::{DefectModelSpec, SampleStream};
 use xbar_exp::experiment::{find_experiment, Params};
 use xbar_exp::service::cache_key;
 use xbar_exp::shard::coordinator::campaign_run_dir;
+use xbar_exp::shard::json::Json;
 use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::McConfig;
 
@@ -103,6 +104,40 @@ fn stdout_str(out: &Output) -> String {
 
 fn stderr_str(out: &Output) -> String {
     String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
+}
+
+#[test]
+fn a_deeply_nested_request_line_gets_an_error_and_the_daemon_keeps_serving() {
+    // One 100 KB line of `[` from an untrusted peer: the parser must
+    // answer it with an `error` response instead of recursing until the
+    // connection thread's stack overflows and aborts the daemon.
+    use std::io::Write as _;
+    let work_dir = scratch("deep-nesting");
+    let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
+    let stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    writeln!(writer, "{}", "[".repeat(100_000)).expect("send hostile line");
+    let mut reply = String::new();
+    std::io::BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("read reply");
+    let doc = Json::parse(reply.trim()).expect("the reply is one JSON line");
+    assert_eq!(
+        doc.get("type").and_then(Json::as_str),
+        Some("error"),
+        "{reply}"
+    );
+    let message = doc.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("nesting"), "{reply}");
+
+    let stats = daemon.submit(&["--stats"]);
+    assert!(stats.status.success(), "daemon must survive: {stats:?}");
+    assert!(stdout_str(&stats).contains("\"cache_hits\""), "{stats:?}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
 }
 
 #[test]

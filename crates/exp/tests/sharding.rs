@@ -1,16 +1,20 @@
 //! Process-level tests of the sharded Monte Carlo subsystem: the
 //! campaign runner on the one-host local fleet (what `xbar mc coordinate`
-//! runs) spawning real `xbar mc shard` worker processes, killing hung
+//! runs) spawning real `xbar mc shard` worker processes, killing stalled
 //! workers at the watchdog deadline, bounding in-flight concurrency,
 //! resuming from checkpoints after a `kill -9`, and always producing a
 //! merged stats artifact byte-identical to the monolithic in-process run.
+//! Crashes, stalls and torn streams are injected by the runner's
+//! [`Faulty`] transport on host `local`.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_exp::launch::pool::DEFAULT_PROBATION;
-use xbar_exp::launch::{run_launch_with_report, HostSpec, LaunchConfig, LocalProc};
+use xbar_exp::launch::{
+    run_launch_with_report, FaultPlan, Faulty, HostSpec, LaunchConfig, LocalProc,
+};
 use xbar_exp::shard::coordinator::{
     campaign_run_dir, render_stats_json, run_monolithic, MergedResult, RunReport, Worker,
 };
@@ -61,6 +65,16 @@ fn run_local_with_report(cfg: &LaunchConfig) -> Result<(MergedResult, RunReport)
 
 fn run_local(cfg: &LaunchConfig) -> Result<MergedResult, String> {
     run_local_with_report(cfg).map(|(merged, _)| merged)
+}
+
+/// Runs `cfg` with `local=<fault>` plans injected into the transport.
+fn run_faulty(cfg: &LaunchConfig, faults: &[&str]) -> Result<(MergedResult, RunReport), String> {
+    let plans = faults
+        .iter()
+        .map(|fault| FaultPlan::parse(&format!("local={fault}")).expect("fault spec"))
+        .collect();
+    run_launch_with_report(cfg, &Faulty::new(LocalProc, plans))
+        .map(|(merged, report)| (merged, report.base))
 }
 
 #[test]
@@ -159,52 +173,33 @@ fn empty_shards_need_no_workers_and_merge_cleanly() {
 #[test]
 fn coordinator_retries_a_crashing_shard_and_still_matches() {
     let mono = render_stats_json(&run_monolithic(&campaign()));
-    let mut cfg = coordinator("fail-once", 3);
-    let marker = cfg.work_dir.join("fail-once-marker");
-    std::fs::create_dir_all(&cfg.work_dir).expect("scratch dir");
-    cfg.extra_worker_args = vec![
-        "--inject-fail-once".to_owned(),
-        marker.to_string_lossy().into_owned(),
-    ];
-    let (merged, report) = run_local_with_report(&cfg).expect("retry must recover");
+    let cfg = coordinator("fail-once", 3);
+    let (merged, report) = run_faulty(&cfg, &["crash@0"]).expect("retry must recover");
     assert_eq!(render_stats_json(&merged), mono);
     assert!(report.retries >= 1, "{report:?}");
-    let _ = std::fs::remove_file(&marker);
-    let _ = std::fs::remove_dir(&cfg.work_dir);
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
 fn coordinator_retries_a_torn_partial_and_still_matches() {
     let mono = render_stats_json(&run_monolithic(&campaign()));
-    let mut cfg = coordinator("torn", 2);
-    let marker = cfg.work_dir.join("torn-marker");
-    std::fs::create_dir_all(&cfg.work_dir).expect("scratch dir");
-    cfg.extra_worker_args = vec![
-        "--inject-truncate-once".to_owned(),
-        marker.to_string_lossy().into_owned(),
-    ];
-    let merged = run_local(&cfg).expect("retry must recover");
+    let cfg = coordinator("torn", 2);
+    let (merged, _) = run_faulty(&cfg, &["truncate@0"]).expect("retry must recover");
     assert_eq!(render_stats_json(&merged), mono);
-    let _ = std::fs::remove_file(&marker);
-    let _ = std::fs::remove_dir(&cfg.work_dir);
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
 fn hung_worker_is_killed_at_the_deadline_and_retried() {
-    // One worker hangs forever (first `--inject-hang-once` hit); the
-    // watchdog must kill it at the deadline and the retry must finish the
-    // shard, with the merged artifact still byte-identical.
+    // The first flight stalls forever (its worker runs, but never
+    // reports back); the watchdog must kill it at the deadline and the
+    // retry must finish the shard, with the merged artifact still
+    // byte-identical.
     let mono = render_stats_json(&run_monolithic(&campaign()));
     let mut cfg = coordinator("hang", 2);
-    let marker = cfg.work_dir.join("hang-marker");
-    std::fs::create_dir_all(&cfg.work_dir).expect("scratch dir");
     cfg.shard_timeout = Some(Duration::from_secs(3));
-    cfg.extra_worker_args = vec![
-        "--inject-hang-once".to_owned(),
-        marker.to_string_lossy().into_owned(),
-    ];
     let start = Instant::now();
-    let (merged, report) = run_local_with_report(&cfg).expect("watchdog must recover");
+    let (merged, report) = run_faulty(&cfg, &["stall@0"]).expect("watchdog must recover");
     assert_eq!(render_stats_json(&merged), mono);
     assert_eq!(report.timeouts, 1, "{report:?}");
     assert!(report.retries >= 1, "{report:?}");
@@ -212,8 +207,7 @@ fn hung_worker_is_killed_at_the_deadline_and_retried() {
         start.elapsed() < Duration::from_secs(60),
         "the watchdog must turn the hang into a bounded retry"
     );
-    let _ = std::fs::remove_file(&marker);
-    let _ = std::fs::remove_dir(&cfg.work_dir);
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
@@ -509,9 +503,13 @@ fn a_run_dir_claimed_by_a_different_campaign_is_rejected() {
 
 #[test]
 fn permanently_failing_shard_surfaces_an_error_not_a_hang() {
-    let mut cfg = coordinator("fail-always", 2);
-    cfg.extra_worker_args = vec!["--inject-fail-always".to_owned()];
-    let err = run_local(&cfg).expect_err("must give up");
+    // Every dispatch the campaign could make crashes.
+    let cfg = coordinator("fail-always", 2);
+    let crashes: Vec<String> = (0..cfg.shards * cfg.max_attempts)
+        .map(|at| format!("crash@{at}"))
+        .collect();
+    let crashes: Vec<&str> = crashes.iter().map(String::as_str).collect();
+    let err = run_faulty(&cfg, &crashes).expect_err("must give up");
     assert!(err.contains("failed permanently"), "{err}");
     assert!(err.contains("attempt"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
@@ -548,8 +546,8 @@ fn report_count(line: &str, key: &str) -> usize {
 
 #[test]
 fn one_host_fleet_never_quarantines_its_only_host() {
-    // `local` fails three times in a row: a crash, a hang the watchdog
-    // kills, and a torn partial (serialized by --max-inflight 1). A
+    // `local` fails three times in a row: a crash, a stall the watchdog
+    // kills, and a torn stream (serialized by --max-inflight 1). A
     // multi-host fleet would quarantine a host after three consecutive
     // failures and sit out DEFAULT_PROBATION; the one-host fleet has
     // nowhere to fail over to, so it must retry straight through.
@@ -557,8 +555,6 @@ fn one_host_fleet_never_quarantines_its_only_host() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let out = dir.join("merged.json");
-    let marker = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    let (fail, hang, torn) = (marker("fail"), marker("hang"), marker("torn"));
     let start = Instant::now();
     let run = Command::new(env!("CARGO_BIN_EXE_xbar"))
         .args([
@@ -576,18 +572,12 @@ fn one_host_fleet_never_quarantines_its_only_host() {
             "4",
             "--shard-timeout",
             "3",
-            "--worker-arg",
-            "--inject-fail-once",
-            "--worker-arg",
-            &fail,
-            "--worker-arg",
-            "--inject-hang-once",
-            "--worker-arg",
-            &hang,
-            "--worker-arg",
-            "--inject-truncate-once",
-            "--worker-arg",
-            &torn,
+            "--inject-host-fault",
+            "local=crash@0",
+            "--inject-host-fault",
+            "local=stall@1",
+            "--inject-host-fault",
+            "local=truncate@2",
         ])
         .arg("--work-dir")
         .arg(dir.join("work"))
