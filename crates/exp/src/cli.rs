@@ -50,21 +50,6 @@ impl Default for ExpArgs {
     }
 }
 
-impl ExpArgs {
-    /// Parses the common flag set from an explicit iterator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::experiment::UsageError`] on unknown flags or
-    /// malformed values — the panicking `parse_from` of the pre-registry
-    /// CLI is gone.
-    pub fn try_parse_from(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Self, crate::experiment::UsageError> {
-        Params::parse(&[], args).map(|p| p.exp_args())
-    }
-}
-
 const TOP_USAGE: &str = "xbar — unified driver for every experiment in the \
 Tunali & Altun (DATE 2018) reproduction
 
@@ -221,45 +206,5 @@ fn run_experiment(name: &str, rest: Vec<String>) -> i32 {
             eprintln!("xbar run {name}: {msg}");
             1
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(words: &[&str]) -> Result<ExpArgs, crate::experiment::UsageError> {
-        ExpArgs::try_parse_from(words.iter().map(|s| (*s).to_owned()))
-    }
-
-    #[test]
-    fn defaults_match_the_paper() {
-        let args = parse(&[]).expect("defaults parse");
-        assert_eq!(args.samples, 200);
-        assert!((args.defect_rate - 0.10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flags_override() {
-        let args =
-            parse(&["--samples", "50", "--seed", "9", "--defect-rate", "0.2"]).expect("parses");
-        assert_eq!(args.samples, 50);
-        assert_eq!(args.seed, 9);
-        assert!((args.defect_rate - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quick_divides_samples() {
-        assert_eq!(parse(&["--quick"]).expect("parses").samples, 20);
-    }
-
-    #[test]
-    fn unknown_flag_is_an_error_not_a_panic() {
-        let err = parse(&["--frobnicate"]).expect_err("must fail");
-        assert!(err.0.contains("unknown flag"), "{err}");
-        let err = parse(&["--samples"]).expect_err("must fail");
-        assert!(err.0.contains("needs a value"), "{err}");
-        let err = parse(&["--samples", "many"]).expect_err("must fail");
-        assert!(err.0.contains("expected a number"), "{err}");
     }
 }

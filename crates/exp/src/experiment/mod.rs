@@ -17,9 +17,10 @@ mod params;
 mod registry;
 
 pub use params::{
-    spec, ParamKind, ParamSpec, ParamValue, Params, UsageError, CLUSTER_SIZE_PARAM, COMMON_PARAMS,
-    DEFECT_MODEL_PARAM, DEFECT_MODEL_PARAMS, LINE_RATE_PARAM, RNG_STREAM_PARAM,
+    spec, Flags, ParamKind, ParamSpec, ParamValue, Params, UsageError, CLUSTER_SIZE_PARAM,
+    COMMON_PARAMS, DEFECT_MODEL_PARAM, DEFECT_MODEL_PARAMS, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
+pub(crate) use params::{usage_err, FrontEnd, CAMPAIGN_PARAMS};
 pub use registry::{find_experiment, registry};
 
 use crate::shard::json::Json;

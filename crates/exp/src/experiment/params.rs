@@ -1,8 +1,17 @@
-//! The typed parameter layer of the [`Experiment`](super::Experiment)
-//! API: every experiment declares its extra flags **once** as
-//! [`ParamSpec`]s and the CLI derives parsing, `--help` text, and the
-//! artifact's `params` echo from the same declaration — no per-binary
-//! flag loops.
+//! The typed flag layer of every `xbar` front-end. A front-end declares
+//! its flags **once** as tables of [`ParamSpec`]s, and parsing, `--help`
+//! text and (for experiments) the artifact's `params` echo all derive from
+//! that declaration — no per-binary flag loops.
+//!
+//! * [`Flags::parse`] is the one engine: it parses an argv against a list
+//!   of spec tables into typed values.
+//! * [`Params`] is what an experiment receives: [`COMMON_PARAMS`] as typed
+//!   fields plus the experiment's extras. `xbar run`, the daemon and the
+//!   `mc` front-ends all build it here, so a Monte Carlo campaign is
+//!   checked the same way whichever front-end describes it.
+//! * [`FrontEnd`] is a subcommand's declaration (`xbar mc launch`,
+//!   `xbar serve`, …): its flag tables, its generated usage text, and the
+//!   exit-code contract around parsing.
 //!
 //! Parsing is `Result`-returning throughout: a malformed flag produces a
 //! [`UsageError`] the driver turns into usage text and exit code 2, never
@@ -12,6 +21,7 @@ use crate::shard::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
+use std::time::Duration;
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
 /// A flag-parsing/usage error. The CLI driver prints it with the
@@ -32,21 +42,28 @@ pub(crate) fn usage_err(message: impl Into<String>) -> UsageError {
     UsageError(message.into())
 }
 
-/// The value type of one experiment parameter.
+/// The value type of one parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamKind {
     /// An unsigned count (`usize`).
     USize,
     /// A 64-bit seed-like integer.
     U64,
-    /// A floating-point value.
+    /// A finite floating-point value.
     F64,
+    /// A probability: a float in `[0, 1]`.
+    Prob,
+    /// A non-negative duration in seconds (fractional ok).
+    Secs,
     /// A boolean switch (present = true, takes no value).
     Flag,
     /// A free-form string.
     Str,
     /// A comma-separated list of strings.
     StrList,
+    /// A string that may be given any number of times; the values
+    /// collect in order (read back with [`Flags::list`]).
+    Repeated,
     /// A closed choice: the value must be one of the listed literals
     /// (stored and echoed as a string).
     Enum(&'static [&'static str]),
@@ -56,9 +73,9 @@ impl ParamKind {
     fn value_hint(self) -> String {
         match self {
             ParamKind::USize | ParamKind::U64 => "N".to_owned(),
-            ParamKind::F64 => "F".to_owned(),
+            ParamKind::F64 | ParamKind::Prob => "F".to_owned(),
             ParamKind::Flag => String::new(),
-            ParamKind::Str => "S".to_owned(),
+            ParamKind::Str | ParamKind::Secs | ParamKind::Repeated => "S".to_owned(),
             ParamKind::StrList => "a,b".to_owned(),
             ParamKind::Enum(choices) => choices.join("|"),
         }
@@ -72,13 +89,15 @@ pub enum ParamValue {
     USize(usize),
     /// A 64-bit integer.
     U64(u64),
-    /// A float.
+    /// A float (also a probability).
     F64(f64),
+    /// A duration.
+    Secs(Duration),
     /// A switch.
     Flag(bool),
     /// A string.
     Str(String),
-    /// A string list.
+    /// A string list (also a repeatable flag's values).
     StrList(Vec<String>),
 }
 
@@ -88,6 +107,7 @@ impl ParamValue {
             ParamValue::USize(v) => Json::usize(*v),
             ParamValue::U64(v) => Json::u64(*v),
             ParamValue::F64(v) => Json::f64(*v),
+            ParamValue::Secs(v) => Json::f64(v.as_secs_f64()),
             ParamValue::Flag(v) => Json::Bool(*v),
             ParamValue::Str(v) => Json::str(v.clone()),
             ParamValue::StrList(v) => Json::arr(v.iter().map(|s| Json::str(s.clone()))),
@@ -95,17 +115,19 @@ impl ParamValue {
     }
 }
 
-/// The declaration of one extra experiment parameter: flag name (without
-/// the leading `--`), type, textual default, and help line. This single
-/// declaration drives parsing, `--help`, and the artifact echo.
+/// The declaration of one flag: name (without the leading `--`), type,
+/// textual default, and help line. This single declaration drives
+/// parsing, `--help`, and the artifact echo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamSpec {
     /// Flag name without the leading `--` (e.g. `"spare-rows"`).
     pub name: &'static str,
     /// Value type.
     pub kind: ParamKind,
-    /// Textual default, parsed by [`Params::defaults`] (e.g. `"0"`,
-    /// `"rd53"`, `"false"` for flags).
+    /// Textual default, parsed as the flag's own kind (e.g. `"0"`,
+    /// `"rd53"`, `"false"` for switches). Empty means the flag has no
+    /// default: it holds no value until given (read it with the `opt_*`
+    /// accessors). A repeatable flag starts out empty.
     pub default: &'static str,
     /// One-line help text.
     pub help: &'static str,
@@ -131,16 +153,32 @@ impl ParamSpec {
     fn parse_value(&self, text: &str) -> Result<ParamValue, UsageError> {
         let bad = |kind: &str| usage_err(format!("--{}: expected {kind}, got {text:?}", self.name));
         Ok(match self.kind {
-            ParamKind::USize => {
-                ParamValue::USize(text.parse().map_err(|_| bad("an unsigned integer"))?)
-            }
-            ParamKind::U64 => ParamValue::U64(text.parse().map_err(|_| bad("a u64"))?),
+            ParamKind::USize => ParamValue::USize(
+                text.parse()
+                    .map_err(|_| bad("a number (an unsigned integer)"))?,
+            ),
+            ParamKind::U64 => ParamValue::U64(text.parse().map_err(|_| bad("a number"))?),
             ParamKind::F64 => {
                 let v: f64 = text.parse().map_err(|_| bad("a number"))?;
                 if !v.is_finite() {
                     return Err(bad("a finite number"));
                 }
                 ParamValue::F64(v)
+            }
+            ParamKind::Prob => {
+                let v: f64 = text.parse().map_err(|_| bad("a number"))?;
+                // NaN is outside every range, so this also rejects it.
+                if !(0.0..=1.0).contains(&v) {
+                    return Err(bad("a finite probability in [0, 1]"));
+                }
+                ParamValue::F64(v)
+            }
+            ParamKind::Secs => {
+                let secs: f64 = text.parse().map_err(|_| bad("seconds"))?;
+                ParamValue::Secs(
+                    Duration::try_from_secs_f64(secs)
+                        .map_err(|_| bad("a non-negative finite number of seconds"))?,
+                )
             }
             ParamKind::Flag => ParamValue::Flag(text.parse().map_err(|_| bad("true or false"))?),
             ParamKind::Str => ParamValue::Str(text.to_owned()),
@@ -150,6 +188,7 @@ impl ParamSpec {
                 }
                 ParamValue::StrList(text.split(',').map(str::to_owned).collect())
             }
+            ParamKind::Repeated => ParamValue::StrList(vec![text.to_owned()]),
             ParamKind::Enum(choices) => {
                 if !choices.contains(&text) {
                     return Err(bad(&format!("one of {}", choices.join(", "))));
@@ -157,6 +196,25 @@ impl ParamSpec {
                 ParamValue::Str(text.to_owned())
             }
         })
+    }
+
+    /// The value the flag holds before it is given, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the textual default does not parse as the spec's own
+    /// kind — a registry bug, pinned by the completeness tests.
+    fn default_value(&self) -> Option<ParamValue> {
+        if self.kind == ParamKind::Repeated {
+            return Some(ParamValue::StrList(Vec::new()));
+        }
+        if self.default.is_empty() {
+            return None;
+        }
+        Some(
+            self.parse_value(self.default)
+                .unwrap_or_else(|e| panic!("bad default for --{}: {e}", self.name)),
+        )
     }
 }
 
@@ -196,7 +254,7 @@ pub const CLUSTER_SIZE_PARAM: ParamSpec = spec(
 /// the `lines`/`composite` models). Echoed only when non-default.
 pub const LINE_RATE_PARAM: ParamSpec = spec(
     "line-rate",
-    ParamKind::F64,
+    ParamKind::Prob,
     "0.02",
     "broken wordline/bitline probability for lines/composite models",
 );
@@ -227,7 +285,7 @@ pub const COMMON_PARAMS: &[ParamSpec] = &[
     spec("seed", ParamKind::U64, "2018", "experiment seed"),
     spec(
         "defect-rate",
-        ParamKind::F64,
+        ParamKind::Prob,
         "0.10",
         "per-crosspoint defect probability",
     ),
@@ -257,8 +315,155 @@ pub const COMMON_PARAMS: &[ParamSpec] = &[
     ),
 ];
 
+/// The common parameters that describe a Monte Carlo campaign
+/// (`--samples`, `--seed`, `--defect-rate`), without output routing: the
+/// `mc` front-ends parse their campaign against these plus `table2`'s
+/// extras, and route output with flags of their own.
+pub(crate) const CAMPAIGN_PARAMS: &[ParamSpec] = COMMON_PARAMS.split_at(3).0;
+
+/// The `--help` switch every [`FrontEnd`] declares. Parsing stops at it,
+/// so `--help` answers even when later flags are malformed.
+pub(crate) const HELP_PARAM: ParamSpec = spec("help", ParamKind::Flag, "false", "print this help");
+
+/// Each typed accessor pair of [`Flags`]: `get` for a flag that always
+/// holds a value, `opt` for one that may not.
+macro_rules! accessors {
+    ($($(#[$doc:meta])* $get:ident / $opt:ident -> $ty:ty: $variant:ident($v:ident) => $out:expr;)*) => {$(
+        $(#[$doc])*
+        ///
+        /// # Panics
+        ///
+        /// Panics when no table declared `name` with this kind and a
+        /// default — a programmer error, not a user error.
+        #[must_use]
+        pub fn $get(&self, name: &str) -> $ty {
+            self.$opt(name).unwrap_or_else(|| {
+                panic!("param --{name} is not a declared {} with a value", stringify!($get))
+            })
+        }
+
+        $(#[$doc])*
+        /// `None` when it has no default and was not given, or when `name`
+        /// is not declared with this kind — generic callers (the service's
+        /// batch scheduler probes every experiment for an optional circuit
+        /// affinity) rely on the latter.
+        #[must_use]
+        pub fn $opt(&self, name: &str) -> Option<$ty> {
+            match self.0.get(name) {
+                Some(ParamValue::$variant($v)) => Some($out),
+                _ => None,
+            }
+        }
+    )*};
+}
+
+/// Flag values parsed against one or more [`ParamSpec`] tables, by flag
+/// name: every declared flag with a default holds a value, the others
+/// only once given.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Flags(BTreeMap<&'static str, ParamValue>);
+
+impl Flags {
+    /// Parses a flag stream against `tables`. A repeatable flag collects
+    /// every value; any other flag given twice keeps the last. `-h` is
+    /// `--help`, and a declared `HELP_PARAM` ends parsing.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`UsageError`] on an unknown flag, a missing value, or a
+    /// malformed value — never panics.
+    pub fn parse(
+        tables: &[&[ParamSpec]],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, UsageError> {
+        let mut flags = Self(
+            tables
+                .iter()
+                .flat_map(|table| table.iter())
+                .filter_map(|s| Some((s.name, s.default_value()?)))
+                .collect(),
+        );
+        let mut it = args.into_iter();
+        while let Some(flag) = it.next() {
+            let name = if flag == "-h" {
+                HELP_PARAM.name
+            } else {
+                flag.strip_prefix("--")
+                    .ok_or_else(|| usage_err(format!("expected a --flag, got {flag:?}")))?
+            };
+            let spec = tables
+                .iter()
+                .flat_map(|table| table.iter())
+                .find(|s| s.name == name)
+                .ok_or_else(|| usage_err(format!("unknown flag --{name}")))?;
+            if spec.kind == ParamKind::Flag {
+                flags.0.insert(spec.name, ParamValue::Flag(true));
+                if spec.name == HELP_PARAM.name {
+                    break;
+                }
+                continue;
+            }
+            let text = it
+                .next()
+                .ok_or_else(|| usage_err(format!("--{name} needs a value")))?;
+            match flags.0.get_mut(spec.name) {
+                Some(ParamValue::StrList(values)) if spec.kind == ParamKind::Repeated => {
+                    values.push(text);
+                }
+                _ => {
+                    let value = spec.parse_value(&text)?;
+                    flags.0.insert(spec.name, value);
+                }
+            }
+        }
+        Ok(flags)
+    }
+
+    accessors! {
+        /// A `usize` parameter.
+        usize / opt_usize -> usize: USize(v) => *v;
+        /// A `u64` parameter.
+        u64 / opt_u64 -> u64: U64(v) => *v;
+        /// An `f64` (or probability) parameter.
+        f64 / opt_f64 -> f64: F64(v) => *v;
+        /// A seconds parameter.
+        secs / opt_secs -> Duration: Secs(v) => *v;
+        /// A switch.
+        flag / opt_flag -> bool: Flag(v) => *v;
+        /// A string parameter.
+        str / opt_str -> &str: Str(v) => v;
+        /// A string-list or repeatable parameter.
+        list / opt_list -> &[String]: StrList(v) => v;
+    }
+
+    /// A count that must be at least 1 when it holds a value.
+    ///
+    /// # Errors
+    ///
+    /// Reports a zero count.
+    pub(crate) fn opt_count(&self, name: &str) -> Result<Option<usize>, UsageError> {
+        match self.opt_usize(name) {
+            Some(0) => Err(usage_err(format!("--{name} must be at least 1"))),
+            count => Ok(count),
+        }
+    }
+
+    /// A duration that must be positive when it holds a value.
+    ///
+    /// # Errors
+    ///
+    /// Reports a zero duration.
+    pub(crate) fn opt_positive_secs(&self, name: &str) -> Result<Option<Duration>, UsageError> {
+        match self.opt_secs(name) {
+            Some(t) if t.is_zero() => Err(usage_err(format!("--{name} must be positive"))),
+            t => Ok(t),
+        }
+    }
+}
+
 /// Fully-resolved experiment parameters: the common set as typed fields,
-/// per-experiment extras behind the [`Params::usize`]-family accessors.
+/// per-experiment extras behind the [`Flags`] accessors (`params.usize`,
+/// `params.str`, …, through `Deref`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Monte Carlo sample count (already divided when `quick` is set).
@@ -275,7 +480,15 @@ pub struct Params {
     pub out: Option<PathBuf>,
     /// CSV output path for the primary table (`--csv PATH`).
     pub csv: Option<PathBuf>,
-    extras: BTreeMap<&'static str, ParamValue>,
+    extras: Flags,
+}
+
+impl std::ops::Deref for Params {
+    type Target = Flags;
+
+    fn deref(&self) -> &Flags {
+        &self.extras
+    }
 }
 
 impl Params {
@@ -287,25 +500,7 @@ impl Params {
     /// kind — a registry bug, pinned by the completeness test.
     #[must_use]
     pub fn defaults(extra: &[ParamSpec]) -> Self {
-        let extras = extra
-            .iter()
-            .map(|s| {
-                let value = s
-                    .parse_value(s.default)
-                    .unwrap_or_else(|e| panic!("bad default for --{}: {e}", s.name));
-                (s.name, value)
-            })
-            .collect();
-        Self {
-            samples: 200,
-            seed: 2018,
-            defect_rate: 0.10,
-            quick: false,
-            json: false,
-            out: None,
-            csv: None,
-            extras,
-        }
+        Self::parse(extra, []).expect("the declared defaults pass the central checks")
     }
 
     /// Parses a flag stream against the common set plus `extra`.
@@ -321,44 +516,41 @@ impl Params {
         extra: &[ParamSpec],
         args: impl IntoIterator<Item = String>,
     ) -> Result<Self, UsageError> {
-        let mut out = Self::defaults(extra);
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let name = flag
-                .strip_prefix("--")
-                .ok_or_else(|| usage_err(format!("expected a --flag, got {flag:?}")))?;
-            let mut value_of = |flag_name: &str| {
-                it.next()
-                    .ok_or_else(|| usage_err(format!("--{flag_name} needs a value")))
-            };
-            match name {
-                "samples" => out.samples = parse_num(name, &value_of(name)?)?,
-                "seed" => out.seed = parse_num(name, &value_of(name)?)?,
-                "defect-rate" => {
-                    let v: f64 = parse_num(name, &value_of(name)?)?;
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(usage_err("--defect-rate must be a probability in [0, 1]"));
-                    }
-                    out.defect_rate = v;
-                }
-                "quick" => out.quick = true,
-                "json" => out.json = true,
-                "out" => out.out = Some(PathBuf::from(value_of(name)?)),
-                "csv" => out.csv = Some(PathBuf::from(value_of(name)?)),
-                other => {
-                    let spec = extra
-                        .iter()
-                        .find(|s| s.name == other)
-                        .ok_or_else(|| usage_err(format!("unknown flag --{other}")))?;
-                    let value = if spec.kind == ParamKind::Flag {
-                        ParamValue::Flag(true)
-                    } else {
-                        spec.parse_value(&value_of(other)?)?
-                    };
-                    out.extras.insert(spec.name, value);
-                }
-            }
-        }
+        let flags = Flags::parse(&[COMMON_PARAMS, extra], args)?;
+        Ok(Self {
+            json: flags.flag("json"),
+            out: flags.opt_str("out").map(PathBuf::from),
+            csv: flags.opt_str("csv").map(PathBuf::from),
+            ..Self::from_flags(&flags, extra)?
+        })
+    }
+
+    /// The parameters that `flags` — parsed against tables including
+    /// `CAMPAIGN_PARAMS` and `extra` — describe, after the central
+    /// checks every experiment relies on. Output routing (`--json`,
+    /// `--out`, `--csv`) stays off: [`Params::parse`] reads it, a front-end
+    /// with routing flags of its own does not. Values of any other table
+    /// stay with the caller.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`UsageError`] when a central check fails.
+    pub fn from_flags(flags: &Flags, extra: &[ParamSpec]) -> Result<Self, UsageError> {
+        let mut out = Self {
+            samples: flags.usize("samples"),
+            seed: flags.u64("seed"),
+            defect_rate: flags.f64("defect-rate"),
+            quick: flags.opt_flag("quick") == Some(true),
+            json: false,
+            out: None,
+            csv: None,
+            extras: Flags(
+                extra
+                    .iter()
+                    .filter_map(|s| Some((s.name, flags.0.get(s.name)?.clone())))
+                    .collect(),
+            ),
+        };
         if out.quick {
             out.samples = (out.samples / 10).max(10);
         }
@@ -369,104 +561,18 @@ impl Params {
         if out.samples == 0 {
             return Err(usage_err("--samples must be at least 1"));
         }
-        // Central range checks for the shared defect-model params (the
-        // same role the `--defect-rate` bound plays above), so
-        // `Params::defect_model` is infallible for accessor code.
-        if let Some(ParamValue::F64(v)) = out.extras.get(CLUSTER_SIZE_PARAM.name) {
-            // Non-finite values never reach here: `parse_value` rejects
-            // them for every F64 param.
-            if *v < 1.0 {
-                return Err(usage_err("--cluster-size must be at least 1"));
-            }
-        }
-        if let Some(ParamValue::F64(v)) = out.extras.get(LINE_RATE_PARAM.name) {
-            if !(0.0..=1.0).contains(v) {
-                return Err(usage_err("--line-rate must be a probability in [0, 1]"));
-            }
+        // Central range check for the shared cluster size (probabilities
+        // are range-checked by their kind), so `Params::defect_model` is
+        // infallible for accessor code.
+        // Non-finite values never reach here: `parse_value` rejects them
+        // for every F64 param.
+        if out
+            .opt_f64(CLUSTER_SIZE_PARAM.name)
+            .is_some_and(|v| v < 1.0)
+        {
+            return Err(usage_err("--cluster-size must be at least 1"));
         }
         Ok(out)
-    }
-
-    /// An extra `usize` parameter declared by the experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the experiment did not declare `name` with that kind —
-    /// a programmer error, not a user error.
-    #[must_use]
-    pub fn usize(&self, name: &str) -> usize {
-        match self.extras.get(name) {
-            Some(ParamValue::USize(v)) => *v,
-            other => panic!("param --{name} is not a declared usize (got {other:?})"),
-        }
-    }
-
-    /// An extra `u64` parameter. See [`Params::usize`] for panics.
-    #[must_use]
-    pub fn u64(&self, name: &str) -> u64 {
-        match self.extras.get(name) {
-            Some(ParamValue::U64(v)) => *v,
-            other => panic!("param --{name} is not a declared u64 (got {other:?})"),
-        }
-    }
-
-    /// An extra `f64` parameter. See [`Params::usize`] for panics.
-    #[must_use]
-    pub fn f64(&self, name: &str) -> f64 {
-        match self.extras.get(name) {
-            Some(ParamValue::F64(v)) => *v,
-            other => panic!("param --{name} is not a declared f64 (got {other:?})"),
-        }
-    }
-
-    /// An extra flag parameter. See [`Params::usize`] for panics.
-    #[must_use]
-    pub fn flag(&self, name: &str) -> bool {
-        match self.extras.get(name) {
-            Some(ParamValue::Flag(v)) => *v,
-            other => panic!("param --{name} is not a declared flag (got {other:?})"),
-        }
-    }
-
-    /// An extra string parameter. See [`Params::usize`] for panics.
-    #[must_use]
-    pub fn str(&self, name: &str) -> &str {
-        match self.extras.get(name) {
-            Some(ParamValue::Str(v)) => v,
-            other => panic!("param --{name} is not a declared string (got {other:?})"),
-        }
-    }
-
-    /// An extra string-list parameter. See [`Params::usize`] for panics.
-    #[must_use]
-    pub fn list(&self, name: &str) -> &[String] {
-        match self.extras.get(name) {
-            Some(ParamValue::StrList(v)) => v,
-            other => panic!("param --{name} is not a declared list (got {other:?})"),
-        }
-    }
-
-    /// An extra string parameter when the experiment declared one under
-    /// `name`, `None` otherwise. For generic callers (the service's batch
-    /// scheduler probes every experiment for an optional circuit
-    /// affinity) that cannot uphold [`Params::str`]'s declared-name
-    /// contract.
-    #[must_use]
-    pub fn opt_str(&self, name: &str) -> Option<&str> {
-        match self.extras.get(name) {
-            Some(ParamValue::Str(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// An extra string-list parameter when declared, `None` otherwise.
-    /// See [`Params::opt_str`].
-    #[must_use]
-    pub fn opt_list(&self, name: &str) -> Option<&[String]> {
-        match self.extras.get(name) {
-            Some(ParamValue::StrList(v)) => Some(&v[..]),
-            _ => None,
-        }
     }
 
     /// The defect sampling stream selected by `--rng-stream`, or
@@ -474,11 +580,11 @@ impl Params {
     /// [`RNG_STREAM_PARAM`] (deterministic experiments sample nothing).
     #[must_use]
     pub fn sample_stream(&self) -> SampleStream {
-        match self.extras.get(RNG_STREAM_PARAM.name) {
-            Some(ParamValue::Str(v)) => SampleStream::parse(v)
-                .unwrap_or_else(|_| panic!("--rng-stream validated at parse time, got {v:?}")),
-            _ => SampleStream::V1,
-        }
+        self.opt_str(RNG_STREAM_PARAM.name)
+            .map_or(SampleStream::V1, |v| {
+                SampleStream::parse(v)
+                    .unwrap_or_else(|_| panic!("--rng-stream validated at parse time, got {v:?}"))
+            })
     }
 
     /// The defect model selected by `--defect-model` (+ `--cluster-size`,
@@ -487,21 +593,18 @@ impl Params {
     /// enforced at parse time, so this is infallible.
     #[must_use]
     pub fn defect_model(&self) -> DefectModelSpec {
-        let kind = match self.extras.get(DEFECT_MODEL_PARAM.name) {
-            Some(ParamValue::Str(v)) => DefectModelKind::parse(v)
-                .unwrap_or_else(|_| panic!("--defect-model validated at parse time, got {v:?}")),
-            _ => return DefectModelSpec::default(),
+        let Some(kind) = self.opt_str(DEFECT_MODEL_PARAM.name) else {
+            return DefectModelSpec::default();
         };
-        let cluster_size = match self.extras.get(CLUSTER_SIZE_PARAM.name) {
-            Some(ParamValue::F64(v)) => *v,
-            _ => DefectModelSpec::DEFAULT_CLUSTER_SIZE,
-        };
-        let line_rate = match self.extras.get(LINE_RATE_PARAM.name) {
-            Some(ParamValue::F64(v)) => *v,
-            _ => DefectModelSpec::DEFAULT_LINE_RATE,
-        };
-        DefectModelSpec::new(kind, cluster_size, line_rate)
-            .expect("defect-model params validated at parse time")
+        DefectModelSpec::new(
+            DefectModelKind::parse(kind)
+                .unwrap_or_else(|_| panic!("--defect-model validated at parse time, got {kind:?}")),
+            self.opt_f64(CLUSTER_SIZE_PARAM.name)
+                .unwrap_or(DefectModelSpec::DEFAULT_CLUSTER_SIZE),
+            self.opt_f64(LINE_RATE_PARAM.name)
+                .unwrap_or(DefectModelSpec::DEFAULT_LINE_RATE),
+        )
+        .expect("defect-model params validated at parse time")
     }
 
     /// The equivalent legacy [`ExpArgs`](crate::ExpArgs) for experiment
@@ -531,20 +634,14 @@ impl Params {
             ("defect_rate".to_owned(), Json::f64(self.defect_rate)),
         ];
         for s in extra {
-            let value = self
-                .extras
-                .get(s.name)
-                .expect("defaults seeded every declared extra");
+            let Some(value) = self.extras.0.get(s.name) else {
+                continue;
+            };
             // The defect-model family is echoed only when non-default:
             // these params postdate the frozen artifact pins, and omitting
             // them at their defaults keeps every existing document
             // byte-identical.
-            if OMIT_DEFAULT_ECHO.contains(&s.name)
-                && value
-                    == &s
-                        .parse_value(s.default)
-                        .expect("defaults validated by Params::defaults")
-            {
+            if OMIT_DEFAULT_ECHO.contains(&s.name) && Some(value) == s.default_value().as_ref() {
                 continue;
             }
             fields.push((s.name.replace('-', "_"), value.to_json()));
@@ -556,38 +653,135 @@ impl Params {
     /// flags followed by the experiment's extras, one line each.
     #[must_use]
     pub fn usage(exp_name: &str, description: &str, extra: &[ParamSpec]) -> String {
-        let mut out = format!("{description}\n\nusage: xbar run {exp_name} [flags]\n\nflags:\n");
-        for s in COMMON_PARAMS {
-            push_flag_line(&mut out, s);
-        }
-        if !extra.is_empty() {
-            out.push_str("\nexperiment flags:\n");
-            for s in extra {
-                push_flag_line(&mut out, s);
-            }
-        }
-        out
+        usage_text(
+            description,
+            &format!("run {exp_name}"),
+            &[("flags", COMMON_PARAMS), ("experiment flags", extra)],
+        )
     }
 }
 
-fn push_flag_line(out: &mut String, s: &ParamSpec) {
-    let hint = s.kind.value_hint();
-    let flag = if hint.is_empty() {
-        format!("--{}", s.name)
-    } else {
-        format!("--{} {hint}", s.name)
-    };
-    let default = if s.default.is_empty() || s.kind == ParamKind::Flag {
-        String::new()
-    } else {
-        format!(" (default {})", s.default)
-    };
-    out.push_str(&format!("  {flag:<22} {}{default}\n", s.help));
+/// One `xbar` subcommand's flag surface, declared once: parsing, the
+/// generated `--help`, and the exit-code contract all derive from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrontEnd {
+    /// The subcommand as typed after `xbar` (`"mc launch"`); it prefixes
+    /// every message the front-end prints.
+    pub(crate) command: &'static str,
+    /// What the subcommand does: the first paragraph of its help.
+    pub(crate) about: &'static str,
+    /// The flag tables, each under its help heading (an empty heading
+    /// continues the section above).
+    pub(crate) sections: &'static [(&'static str, &'static [ParamSpec])],
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, UsageError> {
-    text.parse()
-        .map_err(|_| usage_err(format!("--{flag}: expected a number, got {text:?}")))
+impl FrontEnd {
+    /// The generated usage text: `about`, the usage line, then every
+    /// section's flags and `--help`.
+    #[must_use]
+    pub(crate) fn usage(&self) -> String {
+        let mut out = usage_text(self.about, self.command, self.sections);
+        out.push('\n');
+        push_flag_line(&mut out, &HELP_PARAM);
+        out
+    }
+
+    /// Parses `argv` against every section's table; `Ok(None)` when
+    /// `--help` came first.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unknown flag or a missing or malformed value.
+    pub(crate) fn try_parse(&self, argv: Vec<String>) -> Result<Option<Flags>, UsageError> {
+        let mut tables: Vec<&[ParamSpec]> = self.sections.iter().map(|(_, t)| *t).collect();
+        tables.push(std::slice::from_ref(&HELP_PARAM));
+        let flags = Flags::parse(&tables, argv)?;
+        Ok((!flags.flag(HELP_PARAM.name)).then_some(flags))
+    }
+
+    /// Parses `argv` and hands the flags to `check`, the front-end's own
+    /// checks on outside input. `Err` carries the exit code to return:
+    /// 0 after printing the help for `--help`, 2 after printing a usage
+    /// error with the help.
+    ///
+    /// # Errors
+    ///
+    /// The process exit code when the front-end must not go on.
+    pub(crate) fn parse<T>(
+        &self,
+        argv: Vec<String>,
+        check: impl FnOnce(Flags) -> Result<T, UsageError>,
+    ) -> Result<T, i32> {
+        match self
+            .try_parse(argv)
+            .and_then(|flags| flags.map(check).transpose())
+        {
+            Ok(Some(value)) => Ok(value),
+            Ok(None) => {
+                println!("{}", self.usage());
+                Err(0)
+            }
+            Err(e) => Err(self.reject(&e)),
+        }
+    }
+
+    /// Prints a usage error with the help to stderr; returns exit code 2.
+    #[must_use]
+    pub(crate) fn reject(&self, e: &dyn fmt::Display) -> i32 {
+        eprintln!("xbar {}: {e}\n\n{}", self.command, self.usage());
+        2
+    }
+
+    /// Prints a runtime failure to stderr; returns exit code 1.
+    #[must_use]
+    pub(crate) fn fail(&self, e: &dyn fmt::Display) -> i32 {
+        eprintln!("xbar {}: {e}", self.command);
+        1
+    }
+}
+
+/// The usage text shared by `xbar describe` and every [`FrontEnd`]:
+/// `about`, the usage line, then one block per non-empty flag table.
+fn usage_text(about: &str, command: &str, sections: &[(&str, &[ParamSpec])]) -> String {
+    let mut out = format!("{about}\n\nusage: xbar {command} [flags]\n");
+    for (heading, specs) in sections.iter().filter(|(_, specs)| !specs.is_empty()) {
+        if !heading.is_empty() {
+            out.push_str(&format!("\n{heading}:\n"));
+        }
+        for s in *specs {
+            push_flag_line(&mut out, s);
+        }
+    }
+    out
+}
+
+/// The column flag help starts at, and the width it wraps to.
+const HELP_COLUMN: usize = 25;
+const HELP_WIDTH: usize = 79;
+
+/// One flag's help entry: the flag and its value hint, then the help
+/// text from [`HELP_COLUMN`] on, word-wrapped at [`HELP_WIDTH`].
+fn push_flag_line(out: &mut String, s: &ParamSpec) {
+    let mut help = s.help.to_owned();
+    if s.kind == ParamKind::Repeated {
+        help.push_str(" (repeatable)");
+    }
+    if !s.default.is_empty() && s.kind != ParamKind::Flag {
+        help.push_str(&format!(" (default {})", s.default));
+    }
+    let flag = format!("--{} {}", s.name, s.kind.value_hint());
+    let mut line = format!("  {:<width$} ", flag.trim_end(), width = HELP_COLUMN - 3);
+    for word in help.split_whitespace() {
+        if line.len() > HELP_COLUMN && line.len() + word.len() > HELP_WIDTH {
+            out.push_str(line.trim_end());
+            out.push('\n');
+            line = " ".repeat(HELP_COLUMN);
+        }
+        line.push_str(word);
+        line.push(' ');
+    }
+    out.push_str(line.trim_end());
+    out.push('\n');
 }
 
 #[cfg(test)]
@@ -645,6 +839,10 @@ mod tests {
         .expect("parses");
         assert_eq!(p.samples, 50);
         assert_eq!(p.seed, 9);
+        assert!((p.defect_rate - 0.2).abs() < 1e-12);
+        let args = p.exp_args();
+        assert_eq!((args.samples, args.seed), (50, 9));
+        assert!((args.defect_rate - 0.2).abs() < 1e-12);
         assert_eq!(p.str("circuit"), "bw");
         assert_eq!(p.usize("spare-rows"), 4);
         assert!(p.flag("verbose"));
@@ -702,6 +900,30 @@ mod tests {
             let err = parse(words).expect_err("must fail");
             assert!(err.0.contains(needle), "{words:?}: {err}");
         }
+    }
+
+    #[test]
+    fn help_ends_parsing_and_repeatable_flags_collect() {
+        let tables: &[&[ParamSpec]] = &[
+            EXTRA,
+            &[spec("arg", ParamKind::Repeated, "", "an argument")],
+            std::slice::from_ref(&HELP_PARAM),
+        ];
+        let flags = |words: &[&str]| Flags::parse(tables, words.iter().map(|s| (*s).to_owned()));
+        for words in [
+            &["--help", "--frobnicate"][..],
+            &["-h"][..],
+            &["--spare-rows", "4", "--help", "--spare-rows"][..],
+        ] {
+            assert!(
+                flags(words).expect("help ends parsing").flag("help"),
+                "{words:?}"
+            );
+        }
+        assert!(flags(&["--frobnicate", "--help"]).is_err());
+        let parsed = flags(&["--arg", "a", "--spare-rows", "1", "--arg", "b"]).expect("parses");
+        assert_eq!(parsed.list("arg"), ["a", "b"]);
+        assert_eq!(flags(&[]).expect("parses").list("arg"), [] as [String; 0]);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 use crate::cli::ExpArgs;
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
-    Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
+    Reporter, UsageError, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM,
+    RNG_STREAM_PARAM,
 };
 use crate::mc::monte_carlo_range_fold;
 use crate::shard::json::Json;
@@ -234,7 +235,10 @@ pub fn table2_circuit_names() -> Vec<String> {
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Experiment;
 
-const TABLE2_PARAMS: &[ParamSpec] = &[
+/// Table II's extra flags: the circuit subset and the shared sampling
+/// and defect-model family. The `mc` front-ends parse their campaigns
+/// against these too.
+pub(crate) const TABLE2_PARAMS: &[ParamSpec] = &[
     spec(
         "circuits",
         ParamKind::StrList,
@@ -255,21 +259,19 @@ const TABLE2_PARAMS: &[ParamSpec] = &[
 /// # Errors
 ///
 /// Names the first circuit that is not Table II-eligible or is repeated.
-pub fn resolve_circuit_subset(selector: &[String]) -> Result<Vec<String>, ExpError> {
+pub fn resolve_circuit_subset(selector: &[String]) -> Result<Vec<String>, UsageError> {
     let eligible = table2_circuit_names();
     if selector == ["all"] {
         return Ok(eligible);
     }
     for (i, name) in selector.iter().enumerate() {
         if !eligible.iter().any(|e| e == name) {
-            return Err(ExpError::Usage(format!(
+            return Err(UsageError(format!(
                 "--circuits: {name:?} is not a Table II circuit (see `xbar describe table2`)"
             )));
         }
         if selector[..i].contains(name) {
-            return Err(ExpError::Usage(format!(
-                "--circuits: {name:?} listed twice"
-            )));
+            return Err(UsageError(format!("--circuits: {name:?} listed twice")));
         }
     }
     Ok(selector.to_vec())

@@ -1,271 +1,272 @@
 //! `xbar mc launch`: the multi-host CLI over the campaign runner, plus
 //! the runner flags it shares with `xbar mc coordinate`.
 //!
-//! Parsing follows the `mc coordinate` conventions (usage problems print
-//! help to stderr and return exit code 2) and reuses the shared
-//! [`CampaignFlags`] and [`RunnerFlags`], so a launch describes its
-//! campaign and its runner with exactly the coordinator's vocabulary plus
-//! the fleet flags.
+//! Both front-ends declare their flags once as a `FrontEnd`: the
+//! campaign exactly as `xbar run table2` parses it
+//! (`CAMPAIGN_SECTIONS`), the shared `RUNNER_PARAMS`, and a table of
+//! their own — for a launch, the fleet flags. Parsing and `--help` both
+//! derive from that declaration; usage problems print help to stderr and
+//! return exit code 2.
 
-use super::pool::{parse_hosts, HostSpec, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
+use super::pool::{parse_hosts, HostSpec};
 use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 use super::transport::{with_faults, Exec, FaultPlan, LocalProc, Transport};
-use crate::experiment::{find_experiment, Params};
+use crate::experiment::{
+    find_experiment, spec, usage_err, Flags, FrontEnd, ParamKind, ParamSpec, Params, UsageError,
+};
 use crate::experiments::table2::table2_artifact_from_accums;
 use crate::shard::coordinator::{
     default_worker, render_stats_json, render_timing_table, MergedResult, Worker,
 };
-use crate::shard::{CampaignFlags, McConfig, CAMPAIGN_FLAGS_USAGE};
-use std::path::PathBuf;
-use std::time::Duration;
+use crate::shard::{campaign, McConfig, CAMPAIGN_SECTIONS};
+use std::path::{Path, PathBuf};
 
-/// Parses a seconds value (fractional ok) into a [`Duration`].
-pub(crate) fn parse_secs(flag: &str, text: &str) -> Result<Duration, String> {
-    let secs: f64 = text
-        .parse()
-        .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-    Duration::try_from_secs_f64(secs)
-        .map_err(|_| format!("{flag}: {secs} is not a representable duration"))
+/// The runner flags `mc coordinate` and `mc launch` share, declared once
+/// so the two front-ends cannot drift apart.
+pub(crate) const RUNNER_PARAMS: &[ParamSpec] = &[
+    spec(
+        "shards",
+        ParamKind::USize,
+        "3",
+        "sample-range shards, one worker run each",
+    ),
+    spec(
+        "max-attempts",
+        ParamKind::USize,
+        "3",
+        "attempts per shard before giving up",
+    ),
+    spec(
+        "shard-timeout",
+        ParamKind::Secs,
+        "",
+        "kill a worker still running after S seconds and retry (fractional ok; \
+         default: no watchdog, wait forever)",
+    ),
+    spec(
+        "resume",
+        ParamKind::Flag,
+        "false",
+        "reuse valid partials already in the run directory and schedule only \
+         missing or corrupt shards",
+    ),
+    spec(
+        "out",
+        ParamKind::Str,
+        "MC_merged.json",
+        "merged stats artifact",
+    ),
+    spec(
+        "work-dir",
+        ParamKind::Str,
+        "",
+        "parent of the per-campaign run directory (default <temp>/xbar-mc; partials \
+         live in <work-dir>/run-seed<seed>-n<samples>-k<shards>-<stream>[-<model>]; \
+         the work dir itself is never removed, so --out may point inside it)",
+    ),
+    spec(
+        "worker",
+        ParamKind::Str,
+        "",
+        "an xbar-compatible worker binary, run as `PATH mc shard ...` \
+         (default: the xbar binary next to this one)",
+    ),
+    spec(
+        "worker-arg",
+        ParamKind::Repeated,
+        "",
+        "extra argument appended to every worker invocation (used by the \
+         worker-probe tests)",
+    ),
+    spec(
+        "keep-partials",
+        ParamKind::Flag,
+        "false",
+        "keep partial files after the merge",
+    ),
+    spec(
+        "inject-host-fault",
+        ParamKind::Repeated,
+        "",
+        "test-only: inject a transport fault `host=drop|crash|stall|truncate|die[@ordinal]` \
+         at that host's 0-based dispatch ordinal (`mc coordinate`'s host is `local`)",
+    ),
+];
+
+/// The transport faults a repeatable fault flag injects.
+///
+/// # Errors
+///
+/// Reports a malformed fault plan.
+pub(crate) fn fault_plans(flags: &Flags, name: &str) -> Result<Vec<FaultPlan>, UsageError> {
+    flags
+        .list(name)
+        .iter()
+        .map(|plan| FaultPlan::parse(plan).map_err(|e| usage_err(format!("--{name}: {e}"))))
+        .collect()
 }
 
-/// The runner flags `mc coordinate` and `mc launch` share, parsed in one
-/// place so the two front-ends cannot drift apart. Each field is the
-/// value of the flag it is named after (see [`RUNNER_FLAGS_USAGE`]).
-#[derive(Debug)]
-pub(crate) struct RunnerFlags {
-    pub(crate) shards: usize,
-    pub(crate) max_attempts: usize,
-    pub(crate) shard_timeout: Option<Duration>,
-    pub(crate) resume: bool,
-    pub(crate) keep_partials: bool,
-    pub(crate) out: PathBuf,
-    pub(crate) work_dir: Option<PathBuf>,
-    /// An xbar-compatible worker binary, run as `PATH mc shard ...`.
-    pub(crate) worker: Option<PathBuf>,
-    pub(crate) worker_args: Vec<String>,
-    /// Faults injected into the transport (`--inject-host-fault`).
-    pub(crate) faults: Vec<FaultPlan>,
+/// The transport faults the runner flags inject (`--inject-host-fault`),
+/// after the checks on runner flags that hold whether or not a runner
+/// starts.
+///
+/// # Errors
+///
+/// Reports a non-positive `--shard-timeout` or a malformed fault plan.
+pub(crate) fn runner_faults(flags: &Flags) -> Result<Vec<FaultPlan>, UsageError> {
+    flags.opt_positive_secs("shard-timeout")?;
+    fault_plans(flags, "inject-host-fault")
 }
 
-impl Default for RunnerFlags {
-    fn default() -> Self {
-        Self {
-            shards: 3,
-            max_attempts: 3,
-            shard_timeout: None,
-            resume: false,
-            keep_partials: false,
-            out: PathBuf::from("MC_merged.json"),
-            work_dir: None,
-            worker: None,
-            worker_args: Vec::new(),
-            faults: Vec::new(),
-        }
+/// The runner configuration the runner flags describe for `config` over
+/// `hosts`, on top of [`LaunchConfig::new`]'s defaults.
+///
+/// # Errors
+///
+/// Fails when a fault plan names a host outside the fleet, or when no
+/// `--worker` was given and no default worker binary can be located.
+pub(crate) fn launch_config(
+    flags: &Flags,
+    faults: &[FaultPlan],
+    config: McConfig,
+    hosts: Vec<HostSpec>,
+) -> Result<LaunchConfig, UsageError> {
+    if let Some(plan) = faults
+        .iter()
+        .find(|plan| !hosts.iter().any(|h| h.name == plan.host))
+    {
+        return Err(usage_err(format!(
+            "--inject-host-fault names host {:?}, which is not in the fleet",
+            plan.host
+        )));
     }
-}
-
-/// The usage lines for the flags [`RunnerFlags::consume`] accepts.
-pub(crate) const RUNNER_FLAGS_USAGE: &str =
-    "  --shards N         sample-range shards, one worker run each (default 3)\n  \
---max-attempts N   attempts per shard before giving up (default 3)\n  \
---shard-timeout S  kill a worker still running after S seconds and retry\n                     \
-(fractional ok; default: no watchdog, wait forever)\n  \
---resume           reuse valid partials already in the run directory and\n                     \
-schedule only missing or corrupt shards\n  \
---out PATH         merged stats artifact (default MC_merged.json)\n  \
---work-dir PATH    parent of the per-campaign run directory (default\n                     \
-<temp>/xbar-mc; partials live in <work-dir>/run-seed<seed>-\n                     \
-n<samples>-k<shards>-<stream>[-<model>]; the work dir itself\n                     \
-is never removed, so --out may point inside it)\n  \
---worker PATH      an xbar-compatible worker binary, run as\n                     \
-`PATH mc shard ...` (default: the xbar binary next to this one)\n  \
---worker-arg ARG   extra argument appended to every worker invocation\n                     \
-(repeatable; used by the worker-probe tests)\n  \
---keep-partials    keep partial files after the merge\n  \
---inject-host-fault SPEC  test-only: inject a transport fault\n                     \
-`host=drop|crash|stall|truncate|die[@ordinal]` at that host's\n                     \
-0-based dispatch ordinal (repeatable; `mc coordinate`'s host\n                     \
-is `local`)";
-
-impl RunnerFlags {
-    /// Tries to consume one runner flag (plus its value from `it`);
-    /// `Ok(false)` when `flag` is not a runner flag.
-    ///
-    /// # Errors
-    ///
-    /// Reports a missing or malformed value.
-    pub(crate) fn consume(
-        &mut self,
-        flag: &str,
-        it: &mut dyn Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        let num = |text: String| -> Result<usize, String> {
-            text.parse()
-                .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-        };
-        match flag {
-            "--shards" => self.shards = num(value()?)?,
-            "--max-attempts" => self.max_attempts = num(value()?)?,
-            "--shard-timeout" => {
-                let timeout = parse_secs(flag, &value()?)?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                self.shard_timeout = Some(timeout);
-            }
-            "--resume" => self.resume = true,
-            "--keep-partials" => self.keep_partials = true,
-            "--out" => self.out = PathBuf::from(value()?),
-            "--work-dir" => self.work_dir = Some(PathBuf::from(value()?)),
-            "--worker" => self.worker = Some(PathBuf::from(value()?)),
-            "--worker-arg" => self.worker_args.push(value()?),
-            "--inject-host-fault" => self.faults.push(FaultPlan::parse(&value()?)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The runner configuration for `config` over `hosts`, with these
-    /// flags applied on top of [`LaunchConfig::new`]'s defaults.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a fault plan names a host outside the fleet, or when no
-    /// `--worker` was given and no default worker binary can be located.
-    pub(crate) fn launch_config(
-        &self,
-        config: McConfig,
-        hosts: Vec<HostSpec>,
-    ) -> Result<LaunchConfig, String> {
-        if let Some(plan) = self
-            .faults
-            .iter()
-            .find(|plan| !hosts.iter().any(|h| h.name == plan.host))
-        {
-            return Err(format!(
-                "--inject-host-fault names host {:?}, which is not in the fleet",
-                plan.host
-            ));
-        }
-        let worker = match &self.worker {
-            Some(path) => Worker::xbar(path.clone()),
-            None => default_worker()?,
-        };
-        let mut cfg = LaunchConfig::new(config, self.shards, hosts, worker);
-        cfg.max_attempts = self.max_attempts;
-        if let Some(work_dir) = &self.work_dir {
-            cfg.work_dir.clone_from(work_dir);
-        }
-        cfg.extra_worker_args.clone_from(&self.worker_args);
-        cfg.keep_partials = self.keep_partials;
-        cfg.shard_timeout = self.shard_timeout;
-        cfg.resume = self.resume;
-        Ok(cfg)
-    }
-
-    /// Prints the timing table and writes the merged stats artifact to
-    /// `--out`.
-    ///
-    /// # Errors
-    ///
-    /// Reports an unwritable `--out`.
-    pub(crate) fn write_merged(&self, merged: &MergedResult) -> Result<(), String> {
-        print!("{}", render_timing_table(merged));
-        crate::atomic::write_atomic(&self.out, render_stats_json(merged).as_bytes())
-            .map_err(|e| format!("cannot write {}: {e}", self.out.display()))?;
-        println!("wrote {}", self.out.display());
-        Ok(())
-    }
-}
-
-struct LaunchArgs {
-    campaign: CampaignFlags,
-    runner: RunnerFlags,
-    hosts: String,
-    hedge_after: Option<Duration>,
-    quarantine_after: usize,
-    probation: Duration,
-    artifact: Option<PathBuf>,
-    exec_args: Vec<String>,
-}
-
-fn launch_usage() -> String {
-    format!(
-        "xbar mc launch: fault-tolerant multi-host Monte Carlo dispatch\n\n\
-         Shards the campaign over a fleet, streams partials back over a\n\
-         transport, and merges through a per-host tree. The merged output is\n\
-         byte-identical to a monolithic run under every tolerated fault.\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n\
-         {RUNNER_FLAGS_USAGE}\n  \
-         --hosts SPEC       the fleet (required): comma-separated `name[*slots]`\n                     \
-         entries, e.g. `alpha*4,beta*2,gamma` (slots default 1)\n  \
-         --hedge-after S    re-dispatch a straggling flight onto another host\n                     \
-         after S seconds; first valid partial wins (default: off)\n  \
-         --quarantine-after N  quarantine a host after N consecutive failures\n                     \
-         (default {DEFAULT_QUARANTINE_AFTER})\n  \
-         --probation S      quarantine sit-out before a host may be retried\n                     \
-         (default 30)\n  \
-         --artifact PATH    also write the canonical experiment artifact\n                     \
-         (byte-identical to `xbar run table2 --json`)\n  \
-         --exec-arg TOKEN   remote command template token (repeatable). When\n                     \
-         present, dispatch runs the rendered template instead of a local\n                     \
-         subprocess: `{{host}}` expands to the host name, `{{worker}}` splices\n                     \
-         the worker argv, `{{worker:sh}}` substitutes one shell-quoted\n                     \
-         command string. E.g. `--exec-arg ssh --exec-arg {{host}}\n                     \
-         --exec-arg {{worker:sh}}` dispatches over ssh."
-    )
-}
-
-fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
-    let mut out = LaunchArgs {
-        campaign: CampaignFlags::default(),
-        runner: RunnerFlags::default(),
-        hosts: String::new(),
-        hedge_after: None,
-        quarantine_after: DEFAULT_QUARANTINE_AFTER,
-        probation: DEFAULT_PROBATION,
-        artifact: None,
-        exec_args: Vec::new(),
+    let worker = match flags.opt_str("worker") {
+        Some(path) => Worker::xbar(PathBuf::from(path)),
+        None => default_worker().map_err(UsageError)?,
     };
-    let mut it = args.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
+    let mut cfg = LaunchConfig::new(config, flags.usize("shards"), hosts, worker);
+    cfg.max_attempts = flags.usize("max-attempts");
+    if let Some(work_dir) = flags.opt_str("work-dir") {
+        cfg.work_dir = PathBuf::from(work_dir);
+    }
+    cfg.extra_worker_args = flags.list("worker-arg").to_vec();
+    cfg.keep_partials = flags.flag("keep-partials");
+    cfg.shard_timeout = flags.opt_secs("shard-timeout");
+    cfg.resume = flags.flag("resume");
+    Ok(cfg)
+}
+
+/// Prints the timing table and writes the merged stats artifact to
+/// `--out`.
+///
+/// # Errors
+///
+/// Reports an unwritable `--out`.
+pub(crate) fn write_merged(flags: &Flags, merged: &MergedResult) -> Result<(), String> {
+    let out = Path::new(flags.str("out"));
+    print!("{}", render_timing_table(merged));
+    crate::atomic::write_atomic(out, render_stats_json(merged).as_bytes())
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    println!("wrote {}", out.display());
+    Ok(())
+}
+
+/// The fleet flags only `mc launch` takes.
+const LAUNCH_PARAMS: &[ParamSpec] = &[
+    spec(
+        "hosts",
+        ParamKind::Str,
+        "",
+        "the fleet (required): comma-separated `name[*slots]` entries, e.g. \
+         `alpha*4,beta*2,gamma` (slots default 1)",
+    ),
+    spec(
+        "hedge-after",
+        ParamKind::Secs,
+        "",
+        "re-dispatch a straggling flight onto another host after S seconds; \
+         first valid partial wins (default: off)",
+    ),
+    spec(
+        "quarantine-after",
+        ParamKind::USize,
+        "3",
+        "quarantine a host after N consecutive failures",
+    ),
+    spec(
+        "probation",
+        ParamKind::Secs,
+        "30",
+        "quarantine sit-out before a host may be retried",
+    ),
+    spec(
+        "artifact",
+        ParamKind::Str,
+        "",
+        "also write the canonical experiment artifact (byte-identical to \
+         `xbar run table2 --json`)",
+    ),
+    spec(
+        "exec-arg",
+        ParamKind::Repeated,
+        "",
+        "remote command template token; when present, dispatch runs the rendered \
+         template instead of a local subprocess: `{host}` expands to the host name, \
+         `{worker}` splices the worker argv, `{worker:sh}` substitutes one \
+         shell-quoted command string (`--exec-arg ssh --exec-arg {host} \
+         --exec-arg {worker:sh}` dispatches over ssh)",
+    ),
+];
+
+const LAUNCH: FrontEnd = FrontEnd {
+    command: "mc launch",
+    about: "xbar mc launch: fault-tolerant multi-host Monte Carlo dispatch\n\n\
+            Shards the campaign over a fleet, streams partials back over a\n\
+            transport, and merges through a per-host tree. The merged output is\n\
+            byte-identical to a monolithic run under every tolerated fault.",
+    sections: &[
+        CAMPAIGN_SECTIONS[0],
+        CAMPAIGN_SECTIONS[1],
+        ("runner flags", RUNNER_PARAMS),
+        ("fleet flags", LAUNCH_PARAMS),
+    ],
+};
+
+/// A checked `mc launch` invocation: its flags and what they resolve to.
+struct Launch {
+    flags: Flags,
+    params: Params,
+    config: McConfig,
+    hosts: Vec<HostSpec>,
+    faults: Vec<FaultPlan>,
+    exec: Option<Exec>,
+}
+
+/// `mc launch`'s checks on its input: the campaign, the runner flags, the
+/// fleet and the dispatch template.
+fn launch_args(flags: Flags) -> Result<Launch, UsageError> {
+    let (params, config) = campaign(&flags)?;
+    let faults = runner_faults(&flags)?;
+    let hosts = flags
+        .opt_str("hosts")
+        .ok_or_else(|| usage_err("--hosts is required (e.g. --hosts alpha*2,beta)"))?;
+    let hosts = parse_hosts(hosts).map_err(|e| usage_err(format!("--hosts: {e}")))?;
+    flags.opt_positive_secs("hedge-after")?;
+    flags.opt_count("quarantine-after")?;
+    let exec = match flags.list("exec-arg") {
+        [] => None,
+        template => {
+            Some(Exec::new(template.to_vec()).map_err(|e| usage_err(format!("--exec-arg: {e}")))?)
+        }
     };
-    while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? || out.runner.consume(&flag, &mut it)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--hosts" => out.hosts = value(&flag, &mut it)?,
-            "--hedge-after" => {
-                let after = parse_secs(&flag, &value(&flag, &mut it)?)?;
-                if after.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                out.hedge_after = Some(after);
-            }
-            "--quarantine-after" => {
-                let text = value(&flag, &mut it)?;
-                let n: usize = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a number, got {text:?}"))?;
-                if n == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                out.quarantine_after = n;
-            }
-            "--probation" => out.probation = parse_secs(&flag, &value(&flag, &mut it)?)?,
-            "--artifact" => out.artifact = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--exec-arg" => out.exec_args.push(value(&flag, &mut it)?),
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other:?}; try --help")),
-        }
-    }
-    if out.hosts.is_empty() {
-        return Err("--hosts is required (e.g. --hosts alpha*2,beta)".to_owned());
-    }
-    Ok(Some(out))
+    Ok(Launch {
+        flags,
+        params,
+        config,
+        hosts,
+        faults,
+        exec,
+    })
 }
 
 /// The scheduling summary after a successful launch — on stdout, outside
@@ -290,49 +291,18 @@ fn print_report(report: &LaunchReport) {
     }
 }
 
-/// The `xbar run table2`-equivalent argv for this campaign, so the
-/// canonical artifact is rebuilt against the exact [`Params`] a
-/// monolithic run of the same flags would parse.
-fn table2_argv(flags: &CampaignFlags) -> Vec<String> {
-    let mut argv = vec![
-        "--samples".to_owned(),
-        flags.samples.to_string(),
-        "--seed".to_owned(),
-        flags.seed.to_string(),
-        "--defect-rate".to_owned(),
-        // Shortest-round-trip text: parses back to the exact bits.
-        format!("{:?}", flags.defect_rate),
-        "--rng-stream".to_owned(),
-        flags.stream.as_str().to_owned(),
-    ];
-    if flags.model_kind != xbar_core::DefectModelKind::Iid {
-        argv.push("--defect-model".to_owned());
-        argv.push(flags.model_kind.as_str().to_owned());
-        argv.push("--cluster-size".to_owned());
-        argv.push(format!("{:?}", flags.cluster_size));
-        argv.push("--line-rate".to_owned());
-        argv.push(format!("{:?}", flags.line_rate));
-    }
-    if let Some(circuits) = &flags.circuits {
-        argv.push("--circuits".to_owned());
-        argv.push(circuits.join(","));
-    }
-    argv
-}
-
 /// Rebuilds and writes the canonical `xbar-artifact/1` document for the
-/// campaign, byte-identical to `xbar run table2 --json` with the same
-/// flags (the merge is integer-exact, the rebuild path is shared with the
-/// serving daemon).
+/// campaign from the [`Params`] the launch parsed — the ones `xbar run
+/// table2 --json` parses from the same campaign flags — so the bytes are
+/// identical (the merge is integer-exact; the rebuild path is shared with
+/// the serving daemon).
 fn write_canonical_artifact(
-    path: &std::path::Path,
-    flags: &CampaignFlags,
+    path: &Path,
+    params: &Params,
     merged: &MergedResult,
 ) -> Result<(), String> {
     let exp = find_experiment("table2").ok_or("table2 vanished from the registry")?;
-    let params = Params::parse(exp.extra_params(), table2_argv(flags))
-        .map_err(|e| format!("rebuilding table2 parameters: {e}"))?;
-    let artifact = table2_artifact_from_accums(&merged.circuits, merged.config.seed, exp, &params)?;
+    let artifact = table2_artifact_from_accums(&merged.circuits, merged.config.seed, exp, params)?;
     crate::atomic::write_atomic(path, artifact.as_bytes())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
@@ -343,78 +313,45 @@ fn write_canonical_artifact(
 /// document). Returns the process exit code.
 #[must_use]
 pub fn launch_main(argv: Vec<String>) -> i32 {
-    let args = match parse_launch_args(argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{}", launch_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("mc launch: {e}\n\n{}", launch_usage());
-            return 2;
-        }
+    let launch = match LAUNCH.parse(argv, launch_args) {
+        Ok(launch) => launch,
+        Err(code) => return code,
     };
-    let hosts = match parse_hosts(&args.hosts) {
-        Ok(hosts) => hosts,
-        Err(e) => {
-            eprintln!("mc launch: --hosts: {e}");
-            return 2;
-        }
-    };
-    let config: McConfig = args.campaign.clone().into_config();
-    if let Err(e) = config.validate() {
-        eprintln!("mc launch: {e}");
-        return 2;
-    }
-    let mut cfg = match args.runner.launch_config(config.clone(), hosts) {
+    let flags = &launch.flags;
+    let mut cfg = match launch_config(flags, &launch.faults, launch.config, launch.hosts) {
         Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("mc launch: {e}");
-            return 2;
-        }
+        Err(e) => return LAUNCH.reject(&e),
     };
-    cfg.hedge_after = args.hedge_after;
-    cfg.quarantine_after = args.quarantine_after;
-    cfg.probation = args.probation;
-    let transport: Box<dyn Transport> = if args.exec_args.is_empty() {
-        Box::new(LocalProc)
-    } else {
-        match Exec::new(args.exec_args.clone()) {
-            Ok(exec) => Box::new(exec),
-            Err(e) => {
-                eprintln!("mc launch: --exec-arg: {e}");
-                return 2;
-            }
-        }
+    cfg.hedge_after = flags.opt_secs("hedge-after");
+    cfg.quarantine_after = flags.usize("quarantine-after");
+    cfg.probation = flags.secs("probation");
+    let transport: Box<dyn Transport> = match launch.exec {
+        Some(exec) => Box::new(exec),
+        None => Box::new(LocalProc),
     };
-    let transport = with_faults(transport, &args.runner.faults);
+    let transport = with_faults(transport, &launch.faults);
 
     println!(
         "launching {} samples as {} shard(s) over {} host(s) (seed {}, {:.0}% defects)",
-        config.samples,
+        cfg.config.samples,
         cfg.shards,
         cfg.hosts.len(),
-        config.seed,
-        config.defect_rate * 100.0
+        cfg.config.seed,
+        cfg.config.defect_rate * 100.0
     );
     let (merged, report) = match run_launch_with_report(&cfg, transport.as_ref()) {
         Ok(done) => done,
-        Err(e) => {
-            eprintln!("mc launch: {e}");
-            return 1;
-        }
+        Err(e) => return LAUNCH.fail(&e),
     };
     print_report(&report);
-    if let Err(e) = args.runner.write_merged(&merged) {
-        eprintln!("mc launch: {e}");
-        return 1;
+    if let Err(e) = write_merged(flags, &merged) {
+        return LAUNCH.fail(&e);
     }
-    if let Some(path) = &args.artifact {
-        if let Err(e) = write_canonical_artifact(path, &args.campaign, &merged) {
-            eprintln!("mc launch: {e}");
-            return 1;
+    if let Some(path) = flags.opt_str("artifact") {
+        if let Err(e) = write_canonical_artifact(Path::new(path), &launch.params, &merged) {
+            return LAUNCH.fail(&e);
         }
-        println!("wrote {}", path.display());
+        println!("wrote {path}");
     }
     0
 }
@@ -422,14 +359,17 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
+    use std::time::Duration;
 
-    fn argv(words: &[&str]) -> Vec<String> {
-        words.iter().map(|s| (*s).to_owned()).collect()
+    fn parse_launch_args(words: &[&str]) -> Result<Option<Launch>, UsageError> {
+        let argv = words.iter().map(|s| (*s).to_owned()).collect();
+        LAUNCH.try_parse(argv)?.map(launch_args).transpose()
     }
 
     #[test]
     fn launch_args_parse_the_fleet_and_policy_flags() {
-        let args = parse_launch_args(argv(&[
+        let args = parse_launch_args(&[
             "--hosts",
             "alpha*2,beta",
             "--shards",
@@ -448,18 +388,35 @@ mod tests {
             "{worker:sh}",
             "--inject-host-fault",
             "beta=die@1",
-        ]))
+        ])
         .expect("parses")
         .expect("not help");
-        assert_eq!(args.hosts, "alpha*2,beta");
-        assert_eq!(args.runner.shards, 5);
-        assert_eq!(args.hedge_after, Some(Duration::from_millis(500)));
-        assert_eq!(args.quarantine_after, 2);
-        assert_eq!(args.probation, Duration::from_millis(1500));
-        assert_eq!(args.exec_args, ["ssh", "{host}", "{worker:sh}"]);
-        assert_eq!(args.runner.faults.len(), 1);
+        assert_eq!(args.flags.str("hosts"), "alpha*2,beta");
+        assert_eq!(args.hosts.len(), 2);
+        assert_eq!(args.flags.usize("shards"), 5);
+        assert_eq!(
+            args.flags.opt_secs("hedge-after"),
+            Some(Duration::from_millis(500))
+        );
+        assert_eq!(args.flags.usize("quarantine-after"), 2);
+        assert_eq!(args.flags.secs("probation"), Duration::from_millis(1500));
+        assert_eq!(
+            args.flags.list("exec-arg"),
+            ["ssh", "{host}", "{worker:sh}"]
+        );
+        assert!(args.exec.is_some());
+        assert_eq!(args.faults.len(), 1);
 
-        assert!(parse_launch_args(argv(&["--help"])).expect("ok").is_none());
+        assert!(parse_launch_args(&["--help"]).expect("ok").is_none());
+    }
+
+    #[test]
+    fn launch_flag_defaults_are_the_pool_defaults() {
+        let flags = Flags::parse(&[RUNNER_PARAMS, LAUNCH_PARAMS], []).expect("defaults parse");
+        assert_eq!(flags.usize("quarantine-after"), DEFAULT_QUARANTINE_AFTER);
+        assert_eq!(flags.secs("probation"), DEFAULT_PROBATION);
+        assert_eq!(flags.opt_secs("hedge-after"), None);
+        assert_eq!(flags.opt_str("hosts"), None);
     }
 
     #[test]
@@ -473,27 +430,33 @@ mod tests {
             &["--hosts", "a", "--inject-host-fault", "a=explode"][..],
             &["--hosts", "a", "--what"][..],
         ] {
-            assert!(parse_launch_args(argv(words)).is_err(), "{words:?}");
+            assert!(parse_launch_args(words).is_err(), "{words:?}");
         }
     }
 
     #[test]
-    fn table2_argv_round_trips_campaign_flags_into_params() {
-        let flags = CampaignFlags {
-            samples: 30,
-            seed: 7,
-            circuits: Some(vec!["rd53".to_owned()]),
-            ..Default::default()
-        };
+    fn launch_campaign_is_the_table2_params() {
+        let args = parse_launch_args(&[
+            "--hosts",
+            "a",
+            "--samples",
+            "30",
+            "--seed",
+            "7",
+            "--circuits",
+            "rd53",
+        ])
+        .expect("parses")
+        .expect("not help");
         let exp = find_experiment("table2").expect("registered");
-        let params = Params::parse(exp.extra_params(), table2_argv(&flags)).expect("parses");
-        assert_eq!(params.samples, 30);
-        assert_eq!(params.seed, 7);
-        assert_eq!(params.list("circuits"), ["rd53"]);
-        // The synthesized params resolve to exactly the launch's config.
-        let config = flags.clone().into_config();
-        assert_eq!(params.sample_stream(), config.stream);
-        assert_eq!(params.defect_model(), config.model);
-        assert!((params.defect_rate - config.defect_rate).abs() < f64::EPSILON);
+        let run = Params::parse(exp.extra_params(), args.config.to_argv()).expect("parses");
+        // The launch's params are exactly the ones `xbar run table2`
+        // parses from the same campaign flags, so the rebuilt artifact
+        // echoes the same `params` block.
+        assert_eq!(args.params, run);
+        assert_eq!(args.params.samples, 30);
+        assert_eq!(args.params.seed, 7);
+        assert_eq!(args.params.list("circuits"), ["rd53"]);
+        assert_eq!(args.config.circuits, ["rd53"]);
     }
 }

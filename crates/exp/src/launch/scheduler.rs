@@ -126,41 +126,17 @@ pub struct LaunchReport {
     pub hosts: Vec<HostCount>,
 }
 
-/// The shard-describing worker flags every dispatch shares: campaign
-/// identity plus the shard slice (model flags only for non-default
-/// models, so default campaigns keep the exact pre-model argv). Excludes
-/// `--out`: the runner always streams the partial over stdout
-/// (`--out -`).
+/// The shard-describing worker flags every dispatch shares: the campaign
+/// ([`McConfig::to_argv`]) plus the shard slice. Excludes `--out`: the
+/// runner always streams the partial over stdout (`--out -`).
 fn worker_shard_args(config: &McConfig, spec: &ShardSpec) -> Vec<String> {
-    let mut args = vec![
-        "--samples".to_owned(),
-        config.samples.to_string(),
-        "--seed".to_owned(),
-        config.seed.to_string(),
-        "--defect-rate".to_owned(),
-        // Shortest-round-trip text: the worker parses back the exact bits.
-        format!("{:?}", config.defect_rate),
-        "--rng-stream".to_owned(),
-        config.stream.as_str().to_owned(),
-    ];
-    if !config.model.is_default() {
-        args.push("--defect-model".to_owned());
-        args.push(config.model.kind().as_str().to_owned());
-        if config.model.uses_cluster() {
-            args.push("--cluster-size".to_owned());
-            args.push(format!("{:?}", config.model.cluster_size()));
-        }
-        if config.model.uses_lines() {
-            args.push("--line-rate".to_owned());
-            args.push(format!("{:?}", config.model.line_rate()));
-        }
-    }
-    args.push("--circuits".to_owned());
-    args.push(config.circuits.join(","));
-    args.push("--shard-index".to_owned());
-    args.push(spec.index.to_string());
-    args.push("--num-shards".to_owned());
-    args.push(spec.num_shards.to_string());
+    let mut args = config.to_argv();
+    args.extend([
+        "--shard-index".to_owned(),
+        spec.index.to_string(),
+        "--num-shards".to_owned(),
+        spec.num_shards.to_string(),
+    ]);
     args
 }
 

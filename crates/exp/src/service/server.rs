@@ -25,11 +25,16 @@
 //! job's run directory; restarting the daemon on the same `--work-dir`
 //! and resubmitting resumes from those checkpoints. A client that
 //! disconnects mid-wait detaches from the job, which keeps running and
-//! caches its artifact — resubmitting later is a cache hit.
+//! caches its artifact — resubmitting later is a cache hit. A request
+//! line over 256 KiB gets one `error` reply and the connection closes.
+//! Its flags are one `FrontEnd` table, like every `xbar` front-end's.
 
-use crate::experiment::{find_experiment, Experiment, Params, Reporter};
-use crate::experiments::table2::{resolve_circuit_subset, table2_artifact_from_accums};
-use crate::launch::cli::parse_secs;
+use crate::experiment::{
+    find_experiment, spec, usage_err, Experiment, Flags, FrontEnd, ParamKind, ParamSpec, Params,
+    Reporter, UsageError,
+};
+use crate::experiments::table2::table2_artifact_from_accums;
+use crate::launch::cli::fault_plans;
 use crate::launch::{
     parse_hosts, run_launch_with_report, with_faults, FaultPlan, HostCount, HostSpec, LaunchConfig,
     LocalProc,
@@ -41,8 +46,8 @@ use crate::shard::coordinator::{campaign_run_dir, default_worker, RunReport, Wor
 use crate::shard::json::Json;
 use crate::shard::McConfig;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,6 +63,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 const WAIT_POLL: Duration = Duration::from_millis(100);
 /// Progress event cadence, in wait-poll ticks (~every 500 ms).
 const PROGRESS_EVERY: u32 = 5;
+/// The longest request line the daemon reads, newline included. A submit
+/// line is a few hundred bytes; the bound stops a peer that never sends a
+/// newline from growing the daemon's memory until it disconnects.
+const MAX_REQUEST_LINE: usize = 256 * 1024;
 
 /// `xbar serve` configuration.
 #[derive(Debug, Clone)]
@@ -257,14 +266,43 @@ fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
         return;
     };
     let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else {
-            return; // client disconnected mid-line
+    let mut reader = BufReader::new(read_half);
+    loop {
+        // One byte past the bound tells an over-long line from one that
+        // just fits.
+        let mut bytes = Vec::new();
+        match (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_until(b'\n', &mut bytes)
+        {
+            Ok(0) | Err(_) => return, // client gone
+            Ok(_) => {}
+        }
+        if bytes.len() > MAX_REQUEST_LINE {
+            let _ = send(
+                &mut writer,
+                &error_line(&format!(
+                    "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+                )),
+            );
+            // Half-close, then discard (boundedly) what the peer already
+            // sent: closing with unread input would reset the connection
+            // and could destroy the reply before the peer reads it.
+            let _ = writer.shutdown(Shutdown::Write);
+            let _ = std::io::copy(
+                &mut (&mut reader).take(16 * MAX_REQUEST_LINE as u64),
+                &mut std::io::sink(),
+            );
+            return;
+        }
+        let Ok(line) = String::from_utf8(bytes) else {
+            return; // not text: treat as a broken client
         };
+        let line = line.trim_end_matches(['\n', '\r']);
         if line.trim().is_empty() {
             continue;
         }
-        let reply_ok = match Request::parse(&line) {
+        let reply_ok = match Request::parse(line) {
             Err(e) => send(&mut writer, &error_line(&e)),
             Ok(request) => {
                 let stop_after = matches!(request, Request::Shutdown);
@@ -631,21 +669,6 @@ fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, Strin
     Ok(artifact.render(exp, params))
 }
 
-/// The campaign a `table2` job's parameters describe.
-fn table2_mc_config(params: &Params) -> Result<McConfig, String> {
-    let circuits = resolve_circuit_subset(params.list("circuits")).map_err(|e| match e {
-        crate::experiment::ExpError::Usage(m) | crate::experiment::ExpError::Failed(m) => m,
-    })?;
-    Ok(McConfig {
-        samples: params.samples,
-        seed: params.seed,
-        defect_rate: params.defect_rate,
-        stream: params.sample_stream(),
-        model: params.defect_model(),
-        circuits,
-    })
-}
-
 /// Runs a `table2` job through the campaign runner over the job fleet
 /// and rebuilds the canonical artifact from the merged accumulators. The
 /// job's run directory persists (`keep_partials`) until the artifact is
@@ -659,7 +682,7 @@ fn run_sharded_table2(
     key: &CacheKey,
     worker: Worker,
 ) -> Result<(String, Option<RunReport>, Vec<HostCount>), String> {
-    let config = table2_mc_config(params)?;
+    let config = McConfig::from_params(params).map_err(|e| e.to_string())?;
     let job_dir = state.jobs_dir.join(&key.name);
     let mut cfg = LaunchConfig::new(
         config,
@@ -688,86 +711,103 @@ fn run_sharded_table2(
     Ok((artifact, Some(report.base), report.hosts))
 }
 
-fn serve_usage() -> String {
-    "xbar serve: yield-oracle daemon over the sharded Monte Carlo engine\n\n\
-     Speaks newline-delimited JSON (schema xbar-svc/1) on a TCP socket; use\n\
-     `xbar submit` as the client. Artifacts are cached content-addressed in\n\
-     the work dir, so repeated submissions are answered byte-identical\n\
-     without re-running anything.\n\nflags:\n  \
-     --listen ADDR        listen address (default 127.0.0.1:7878; port 0 picks\n                       \
-     a free port, reported on stdout)\n  \
-     --work-dir PATH      service state root: artifact cache + per-job run\n                       \
-     dirs (default <temp>/xbar-svc; reuse it across\n                       \
-     restarts to keep the cache and resume interrupted jobs)\n  \
-     --max-inflight N     jobs executing at once (default: available\n                       \
-     parallelism)\n  \
-     --job-shards N       shards per sharded job (default 4)\n  \
-     --shard-timeout S    per-shard watchdog seconds, fractional ok (default:\n                       \
-     no watchdog)\n  \
-     --in-process-jobs    run jobs in-process instead of spawning shard workers\n  \
-     --worker-arg ARG     extra argument for every shard worker (repeatable;\n                       \
-     used by the worker-probe tests)\n  \
-     --launcher SPEC      the fleet sharded jobs run on (same `name[*slots],...`\n                       \
-     grammar as `xbar mc launch --hosts`; default\n                       \
-     local*<available parallelism>); its slot total bounds\n                       \
-     the live shard workers within one job, e.g.\n                       \
-     `--launcher local*1` serializes them\n  \
-     --launcher-fault P   inject a transport fault `host=kind[@ordinal]`, kind\n                       \
-     drop|crash|stall|truncate|die\n                       \
-     (repeatable; used by the failure-injection smokes)"
-        .to_owned()
-}
+const SERVE_PARAMS: &[ParamSpec] = &[
+    spec(
+        "listen",
+        ParamKind::Str,
+        "127.0.0.1:7878",
+        "listen address (port 0 picks a free port, reported on stdout)",
+    ),
+    spec(
+        "work-dir",
+        ParamKind::Str,
+        "",
+        "service state root: artifact cache + per-job run dirs (default \
+         <temp>/xbar-svc; reuse it across restarts to keep the cache and resume \
+         interrupted jobs)",
+    ),
+    spec(
+        "max-inflight",
+        ParamKind::USize,
+        "",
+        "jobs executing at once (default: available parallelism)",
+    ),
+    spec(
+        "job-shards",
+        ParamKind::USize,
+        "4",
+        "shards per sharded job",
+    ),
+    spec(
+        "shard-timeout",
+        ParamKind::Secs,
+        "",
+        "per-shard watchdog seconds, fractional ok (default: no watchdog)",
+    ),
+    spec(
+        "in-process-jobs",
+        ParamKind::Flag,
+        "false",
+        "run jobs in-process instead of spawning shard workers",
+    ),
+    spec(
+        "worker-arg",
+        ParamKind::Repeated,
+        "",
+        "extra argument for every shard worker (used by the worker-probe tests)",
+    ),
+    spec(
+        "launcher",
+        ParamKind::Str,
+        "",
+        "the fleet sharded jobs run on (same `name[*slots],...` grammar as \
+         `xbar mc launch --hosts`; default local*<available parallelism>); its slot \
+         total bounds the live shard workers within one job, e.g. `--launcher \
+         local*1` serializes them",
+    ),
+    spec(
+        "launcher-fault",
+        ParamKind::Repeated,
+        "",
+        "inject a transport fault `host=kind[@ordinal]`, kind \
+         drop|crash|stall|truncate|die (used by the failure-injection smokes)",
+    ),
+];
 
-fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, String> {
-    let mut options = ServeOptions::default();
-    let mut it = argv.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--listen" => options.listen = value(&flag, &mut it)?,
-            "--work-dir" => options.work_dir = PathBuf::from(value(&flag, &mut it)?),
-            "--max-inflight" => {
-                options.max_inflight = num(&flag, value(&flag, &mut it)?)?;
-                if options.max_inflight == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-            }
-            "--job-shards" => {
-                options.job_shards = num(&flag, value(&flag, &mut it)?)?;
-                if options.job_shards == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-            }
-            "--shard-timeout" => {
-                let timeout = parse_secs(&flag, &value(&flag, &mut it)?)?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                options.shard_timeout = Some(timeout);
-            }
-            "--in-process-jobs" => options.in_process_jobs = true,
-            "--worker-arg" => options.worker_args.push(value(&flag, &mut it)?),
-            "--launcher" => {
-                let spec = value(&flag, &mut it)?;
-                options.launcher_hosts = parse_hosts(&spec).map_err(|e| format!("{flag}: {e}"))?;
-            }
-            "--launcher-fault" => {
-                let plan = value(&flag, &mut it)?;
-                options
-                    .launcher_faults
-                    .push(FaultPlan::parse(&plan).map_err(|e| format!("{flag}: {e}"))?);
-            }
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other:?}; try --help")),
-        }
-    }
-    Ok(Some(options))
+const SERVE: FrontEnd = FrontEnd {
+    command: "serve",
+    about: "xbar serve: yield-oracle daemon over the sharded Monte Carlo engine\n\n\
+            Speaks newline-delimited JSON (schema xbar-svc/1) on a TCP socket; use\n\
+            `xbar submit` as the client. Artifacts are cached content-addressed in\n\
+            the work dir, so repeated submissions are answered byte-identical\n\
+            without re-running anything.",
+    sections: &[("flags", SERVE_PARAMS)],
+};
+
+/// The daemon configuration `xbar serve`'s flags describe, on top of
+/// [`ServeOptions::default`].
+fn serve_options(flags: Flags) -> Result<ServeOptions, UsageError> {
+    let defaults = ServeOptions::default();
+    Ok(ServeOptions {
+        listen: flags.str("listen").to_owned(),
+        work_dir: flags
+            .opt_str("work-dir")
+            .map_or(defaults.work_dir, PathBuf::from),
+        max_inflight: flags
+            .opt_count("max-inflight")?
+            .unwrap_or(defaults.max_inflight),
+        job_shards: flags
+            .opt_count("job-shards")?
+            .unwrap_or(defaults.job_shards),
+        shard_timeout: flags.opt_positive_secs("shard-timeout")?,
+        in_process_jobs: flags.flag("in-process-jobs"),
+        worker_args: flags.list("worker-arg").to_vec(),
+        launcher_hosts: match flags.opt_str("launcher") {
+            Some(hosts) => parse_hosts(hosts).map_err(|e| usage_err(format!("--launcher: {e}")))?,
+            None => defaults.launcher_hosts,
+        },
+        launcher_faults: fault_plans(&flags, "launcher-fault")?,
+    })
 }
 
 /// `xbar serve`: parses flags, starts the daemon, and blocks until a
@@ -776,25 +816,15 @@ fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, String> {
 /// so scripts driving `--listen 127.0.0.1:0` can discover the port.
 #[must_use]
 pub fn serve_main(argv: Vec<String>) -> i32 {
-    let options = match parse_serve_args(argv) {
-        Ok(Some(options)) => options,
-        Ok(None) => {
-            println!("{}", serve_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("xbar serve: {e}\n\n{}", serve_usage());
-            return 2;
-        }
+    let options = match SERVE.parse(argv, serve_options) {
+        Ok(options) => options,
+        Err(code) => return code,
     };
     let work_dir = options.work_dir.clone();
     let slots = options.max_inflight;
     let handle = match start(options) {
         Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("xbar serve: {e}");
-            return 1;
-        }
+        Err(e) => return SERVE.fail(&e),
     };
     // Ignore stdout write errors: a supervisor that read the address off
     // the first line and closed the pipe must not take the daemon down
@@ -817,6 +847,10 @@ mod tests {
     use super::*;
     use crate::service::protocol::PROTOCOL;
     use crate::shard::json::Json;
+
+    fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, UsageError> {
+        SERVE.try_parse(argv)?.map(serve_options).transpose()
+    }
 
     #[test]
     fn serve_args_parse_and_reject_degenerate_values() {
@@ -845,6 +879,15 @@ mod tests {
         .map(|s| (*s).to_owned())
         .collect();
         let options = parse_serve_args(argv).expect("parses").expect("not help");
+        let defaults = parse_serve_args(Vec::new())
+            .expect("parses")
+            .expect("not help");
+        let built_in = ServeOptions::default();
+        assert_eq!(defaults.listen, built_in.listen);
+        assert_eq!(defaults.work_dir, built_in.work_dir);
+        assert_eq!(defaults.max_inflight, built_in.max_inflight);
+        assert_eq!(defaults.job_shards, built_in.job_shards);
+        assert_eq!(defaults.launcher_hosts.len(), 1);
         assert_eq!(options.listen, "127.0.0.1:0");
         assert_eq!(options.work_dir, PathBuf::from("/tmp/svc"));
         assert_eq!(options.max_inflight, 2);

@@ -1,83 +1,77 @@
 //! CLI entry points for the sharded Monte Carlo subsystem: `xbar mc
 //! shard` (the worker) and `xbar mc coordinate` (the campaign runner on
-//! the one-host local fleet). Parsing is `Result`-based: usage problems
-//! print help to stderr and return exit code 2.
+//! the one-host local fleet). Each declares its flags once as a
+//! `FrontEnd` — the campaign exactly as `xbar run table2` parses it
+//! (`CAMPAIGN_SECTIONS`) plus its own tables — and parsing and `--help`
+//! derive from that declaration. Usage problems print help to stderr and
+//! return exit code 2.
 
 use super::coordinator::{run_monolithic, RunReport};
-use super::{partial::ShardPartial, run_shard, CampaignFlags, ShardSpec, CAMPAIGN_FLAGS_USAGE};
-use crate::launch::cli::{RunnerFlags, RUNNER_FLAGS_USAGE};
-use crate::launch::{run_launch_with_report, with_faults, HostSpec, LocalProc};
-use std::path::PathBuf;
+use super::{campaign, partial::ShardPartial, run_shard, McConfig, ShardSpec, CAMPAIGN_SECTIONS};
+use crate::experiment::{spec, usage_err, Flags, FrontEnd, ParamKind, ParamSpec, UsageError};
+use crate::launch::cli::{launch_config, runner_faults, write_merged, RUNNER_PARAMS};
+use crate::launch::{run_launch_with_report, with_faults, FaultPlan, HostSpec, LocalProc};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-struct ShardArgs {
-    campaign: CampaignFlags,
-    shard_index: usize,
-    num_shards: usize,
-    out: PathBuf,
-    inject_slow_ms: u64,
-    inject_concurrency_dir: Option<PathBuf>,
-}
+/// The slice flags of `mc shard`.
+const SHARD_PARAMS: &[ParamSpec] = &[
+    spec("shard-index", ParamKind::USize, "0", "this shard's index"),
+    spec(
+        "num-shards",
+        ParamKind::USize,
+        "1",
+        "shards in the campaign",
+    ),
+    spec(
+        "out",
+        ParamKind::Str,
+        "partial-0.json",
+        "partial-result output path; `-` streams the partial to stdout (remote launch)",
+    ),
+];
 
-impl Default for ShardArgs {
-    fn default() -> Self {
-        Self {
-            campaign: CampaignFlags::default(),
-            shard_index: 0,
-            num_shards: 1,
-            out: PathBuf::from("partial-0.json"),
-            inject_slow_ms: 0,
-            inject_concurrency_dir: None,
-        }
+/// The worker probes the process-level tests use.
+const PROBE_PARAMS: &[ParamSpec] = &[
+    spec(
+        "inject-slow-ms",
+        ParamKind::U64,
+        "0",
+        "sleep N ms before running the shard",
+    ),
+    spec(
+        "inject-concurrency-dir",
+        ParamKind::Str,
+        "",
+        "record live-worker counts into <dir>/observed.txt",
+    ),
+];
+
+const SHARD: FrontEnd = FrontEnd {
+    command: "mc shard",
+    about: "xbar mc shard: run one shard of a sharded Monte Carlo campaign",
+    sections: &[
+        CAMPAIGN_SECTIONS[0],
+        CAMPAIGN_SECTIONS[1],
+        ("shard flags", SHARD_PARAMS),
+        (
+            "test-only probes (faults are the runner's --inject-host-fault)",
+            PROBE_PARAMS,
+        ),
+    ],
+};
+
+/// `mc shard`'s checks on its input: the campaign and the slice.
+fn shard_args(flags: Flags) -> Result<(Flags, McConfig, ShardSpec), UsageError> {
+    let (_, config) = campaign(&flags)?;
+    let (index, num_shards) = (flags.usize("shard-index"), flags.usize("num-shards"));
+    if index >= num_shards {
+        return Err(usage_err(format!(
+            "--shard-index {index} out of range for --num-shards {num_shards}"
+        )));
     }
-}
-
-fn shard_usage() -> String {
-    format!(
-        "xbar mc shard: run one shard of a sharded Monte Carlo campaign\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n  \
-         --shard-index I    this shard's index (default 0)\n  \
-         --num-shards N     shards in the campaign (default 1)\n  \
-         --out PATH         partial-result output path (default partial-0.json);\n                     \
-         `-` streams the partial to stdout (remote launch)\n\n\
-         test-only probes (faults are the runner's --inject-host-fault):\n  \
-         --inject-slow-ms N             sleep N ms before running the shard\n  \
-         --inject-concurrency-dir DIR   record live-worker counts into DIR/observed.txt"
-    )
-}
-
-fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
-    let mut out = ShardArgs::default();
-    let mut it = args.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
-    while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--shard-index" => out.shard_index = num(&flag, value(&flag, &mut it)?)?,
-            "--num-shards" => out.num_shards = num(&flag, value(&flag, &mut it)?)?,
-            "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
-            "--inject-slow-ms" => {
-                let text = value(&flag, &mut it)?;
-                out.inject_slow_ms = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a number, got {text:?}"))?;
-            }
-            "--inject-concurrency-dir" => {
-                out.inject_concurrency_dir = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other:?}; try --help")),
-        }
-    }
-    Ok(Some(out))
+    let spec = ShardSpec::partition(config.samples, num_shards)[index];
+    Ok((flags, config, spec))
 }
 
 /// `xbar mc shard`: runs one contiguous slice of a
@@ -85,45 +79,27 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
 /// process exit code.
 #[must_use]
 pub fn shard_main(argv: Vec<String>) -> i32 {
-    let args = match parse_shard_args(argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{}", shard_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("mc shard: {e}\n\n{}", shard_usage());
-            return 2;
-        }
+    let (flags, config, spec) = match SHARD.parse(argv, shard_args) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    let config = args.campaign.clone().into_config();
-    if let Err(e) = config.validate() {
-        eprintln!("mc shard: {e}");
-        return 2;
-    }
-    if args.shard_index >= args.num_shards {
-        eprintln!(
-            "mc shard: --shard-index {} out of range for --num-shards {}",
-            args.shard_index, args.num_shards
-        );
-        return 2;
-    }
-    let spec = ShardSpec::partition(config.samples, args.num_shards)[args.shard_index];
+    let probe_dir = flags.opt_str("inject-concurrency-dir").map(PathBuf::from);
 
     // Concurrency probe: hold a live-marker for the worker's lifetime and
     // record how many live markers exist, so a process-level test can
     // assert the coordinator's --max-inflight bound from *inside* the
     // worker fleet. O_APPEND keeps the short count lines atomic.
-    let live_marker = args.inject_concurrency_dir.as_ref().map(|dir| {
+    let live_marker = probe_dir.as_ref().map(|dir| {
         let _ = std::fs::create_dir_all(dir);
         let marker = dir.join(format!("live-{}", std::process::id()));
         let _ = std::fs::write(&marker, b"live\n");
         marker
     });
-    if args.inject_slow_ms > 0 {
-        std::thread::sleep(Duration::from_millis(args.inject_slow_ms));
+    let slow_ms = flags.u64("inject-slow-ms");
+    if slow_ms > 0 {
+        std::thread::sleep(Duration::from_millis(slow_ms));
     }
-    if let Some(dir) = &args.inject_concurrency_dir {
+    if let Some(dir) = &probe_dir {
         let live = std::fs::read_dir(dir)
             .map(|entries| {
                 entries
@@ -143,7 +119,7 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
         }
     }
 
-    let code = run_shard_to_file(&args, &config, spec);
+    let code = run_shard_to_file(Path::new(flags.str("out")), &config, spec);
     if let Some(marker) = live_marker {
         let _ = std::fs::remove_file(marker);
     }
@@ -154,17 +130,16 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
 /// `--out -` the partial streams to stdout instead — the remote-launch
 /// transport contract — so stdout carries *only* partial bytes (the
 /// progress note goes to stderr).
-fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec) -> i32 {
+fn run_shard_to_file(out: &Path, config: &McConfig, spec: ShardSpec) -> i32 {
     let partial: ShardPartial = run_shard(config, &spec);
-    if args.out.as_os_str() == "-" {
+    if out.as_os_str() == "-" {
         use std::io::Write as _;
         let mut stdout = std::io::stdout().lock();
         if let Err(e) = stdout
             .write_all(partial.to_json().as_bytes())
             .and_then(|()| stdout.flush())
         {
-            eprintln!("mc shard: cannot stream partial to stdout: {e}");
-            return 1;
+            return SHARD.fail(&format!("cannot stream partial to stdout: {e}"));
         }
         eprintln!(
             "mc shard: shard {}/{} samples [{}, {}) -> stdout",
@@ -174,9 +149,8 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
     }
     // Atomic: a reader treating any file at this path as a checkpoint
     // candidate must never observe a half-written partial.
-    if let Err(e) = crate::atomic::write_atomic(&args.out, partial.to_json().as_bytes()) {
-        eprintln!("mc shard: cannot write {}: {e}", args.out.display());
-        return 1;
+    if let Err(e) = crate::atomic::write_atomic(out, partial.to_json().as_bytes()) {
+        return SHARD.fail(&format!("cannot write {}: {e}", out.display()));
     }
     println!(
         "mc shard: shard {}/{} samples [{}, {}) -> {}",
@@ -184,60 +158,48 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
         spec.num_shards,
         spec.start,
         spec.end,
-        args.out.display()
+        out.display()
     );
     0
 }
 
-struct CoordinateArgs {
-    campaign: CampaignFlags,
-    runner: RunnerFlags,
-    in_process: bool,
-    max_inflight: Option<usize>,
-}
+/// The flags only `mc coordinate` takes.
+const COORDINATE_PARAMS: &[ParamSpec] = &[
+    spec(
+        "max-inflight",
+        ParamKind::USize,
+        "",
+        "live workers at once (default: available parallelism)",
+    ),
+    spec(
+        "in-process",
+        ParamKind::Flag,
+        "false",
+        "run monolithically (no processes) through the same accumulators; \
+         output is byte-identical to a sharded run",
+    ),
+];
 
-fn coordinate_usage() -> String {
-    format!(
-        "xbar mc coordinate: fault-tolerant sharded Monte Carlo over local worker processes\n\n\
-         The campaign runner of `xbar mc launch` on the one-host fleet\n\
-         `local*N`: same checkpoints, lock, retries and merge.\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n\
-         {RUNNER_FLAGS_USAGE}\n  \
-         --max-inflight N   live workers at once (default: available parallelism)\n  \
-         --in-process       run monolithically (no processes) through the same\n                     \
-         accumulators; output is byte-identical to a sharded run"
-    )
-}
+const COORDINATE: FrontEnd = FrontEnd {
+    command: "mc coordinate",
+    about: "xbar mc coordinate: fault-tolerant sharded Monte Carlo over local worker processes\n\n\
+            The campaign runner of `xbar mc launch` on the one-host fleet\n\
+            `local*N`: same checkpoints, lock, retries and merge.",
+    sections: &[
+        CAMPAIGN_SECTIONS[0],
+        CAMPAIGN_SECTIONS[1],
+        ("runner flags", RUNNER_PARAMS),
+        ("coordinator flags", COORDINATE_PARAMS),
+    ],
+};
 
-fn parse_coordinate_args(args: Vec<String>) -> Result<Option<CoordinateArgs>, String> {
-    let mut out = CoordinateArgs {
-        campaign: CampaignFlags::default(),
-        runner: RunnerFlags::default(),
-        in_process: false,
-        max_inflight: None,
-    };
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? || out.runner.consume(&flag, &mut it)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--max-inflight" => {
-                let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                let inflight: usize = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a number, got {text:?}"))?;
-                if inflight == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                out.max_inflight = Some(inflight);
-            }
-            "--in-process" => out.in_process = true,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other:?}; try --help")),
-        }
-    }
-    Ok(Some(out))
+/// `mc coordinate`'s checks on its input: the campaign and the runner
+/// flags, whether or not the run is in-process.
+fn coordinate_args(flags: Flags) -> Result<(Flags, McConfig, Vec<FaultPlan>), UsageError> {
+    let (_, config) = campaign(&flags)?;
+    let faults = runner_faults(&flags)?;
+    flags.opt_count("max-inflight")?;
+    Ok((flags, config, faults))
 }
 
 /// One line of scheduling facts after a successful sharded run —
@@ -262,24 +224,12 @@ fn print_report(report: &RunReport) {
 /// process exit code.
 #[must_use]
 pub fn coordinate_main(argv: Vec<String>) -> i32 {
-    let args = match parse_coordinate_args(argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{}", coordinate_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("mc coordinate: {e}\n\n{}", coordinate_usage());
-            return 2;
-        }
+    let (flags, config, faults) = match COORDINATE.parse(argv, coordinate_args) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    let config = args.campaign.clone().into_config();
-    if let Err(e) = config.validate() {
-        eprintln!("mc coordinate: {e}");
-        return 2;
-    }
 
-    let merged = if args.in_process {
+    let merged = if flags.flag("in-process") {
         println!(
             "running {} samples monolithically (same accumulators as sharded mode)",
             config.samples
@@ -288,16 +238,13 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
     } else {
         // A one-host fleet: the slot count is the inflight bound, and
         // LaunchConfig::new never quarantines the only host there is.
-        let slots = args.max_inflight.unwrap_or_else(|| {
+        let slots = flags.opt_usize("max-inflight").unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
         });
         let fleet = vec![HostSpec::local(slots)];
-        let cfg = match args.runner.launch_config(config.clone(), fleet) {
+        let cfg = match launch_config(&flags, &faults, config.clone(), fleet) {
             Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("mc coordinate: {e}");
-                return 2;
-            }
+            Err(e) => return COORDINATE.reject(&e),
         };
         println!(
             "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
@@ -306,22 +253,18 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
             config.seed,
             config.defect_rate * 100.0
         );
-        let transport = with_faults(Box::new(LocalProc), &args.runner.faults);
+        let transport = with_faults(Box::new(LocalProc), &faults);
         match run_launch_with_report(&cfg, transport.as_ref()) {
             Ok((merged, report)) => {
                 print_report(&report.base);
                 merged
             }
-            Err(e) => {
-                eprintln!("mc coordinate: {e}");
-                return 1;
-            }
+            Err(e) => return COORDINATE.fail(&e),
         }
     };
 
-    if let Err(e) = args.runner.write_merged(&merged) {
-        eprintln!("mc coordinate: {e}");
-        return 1;
+    if let Err(e) = write_merged(&flags, &merged) {
+        return COORDINATE.fail(&e);
     }
     0
 }
@@ -329,6 +272,25 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    fn parse_shard_args(
+        words: &[&str],
+    ) -> Result<Option<(Flags, McConfig, ShardSpec)>, UsageError> {
+        SHARD.try_parse(argv(words))?.map(shard_args).transpose()
+    }
+
+    fn parse_coordinate_args(
+        words: &[&str],
+    ) -> Result<Option<(Flags, McConfig, Vec<FaultPlan>)>, UsageError> {
+        COORDINATE
+            .try_parse(argv(words))?
+            .map(coordinate_args)
+            .transpose()
+    }
 
     #[test]
     fn shard_args_reject_malformed_flags_without_panicking() {
@@ -338,34 +300,38 @@ mod tests {
             &["--samples", "nope"][..],
             &["--what"][..],
         ] {
-            let argv = words.iter().map(|s| (*s).to_owned()).collect();
-            assert!(parse_shard_args(argv).is_err(), "{words:?} must fail");
+            assert!(parse_shard_args(words).is_err(), "{words:?} must fail");
         }
     }
 
     #[test]
     fn coordinate_args_parse_and_help_short_circuits() {
-        let argv = ["--shards", "5", "--in-process", "--seed", "7"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let args = parse_coordinate_args(argv)
-            .expect("parses")
-            .expect("not help");
-        assert_eq!(args.runner.shards, 5);
-        assert!(args.in_process);
-        assert_eq!(args.campaign.seed, 7);
-        assert_eq!(args.runner.shard_timeout, None, "watchdog defaults off");
-        assert_eq!(args.max_inflight, None, "inflight defaults to auto");
-        assert!(!args.runner.resume);
+        let (flags, config, _) =
+            parse_coordinate_args(&["--shards", "5", "--in-process", "--seed", "7"])
+                .expect("parses")
+                .expect("not help");
+        assert_eq!(flags.usize("shards"), 5);
+        assert!(flags.flag("in-process"));
+        assert_eq!(config.seed, 7);
+        assert_eq!(
+            flags.opt_secs("shard-timeout"),
+            None,
+            "watchdog defaults off"
+        );
+        assert_eq!(
+            flags.opt_usize("max-inflight"),
+            None,
+            "inflight defaults to auto"
+        );
+        assert!(!flags.flag("resume"));
 
-        let help = parse_coordinate_args(vec!["--help".to_owned()]).expect("ok");
+        let help = parse_coordinate_args(&["--help"]).expect("ok");
         assert!(help.is_none(), "--help short-circuits");
     }
 
     #[test]
     fn coordinate_args_parse_the_fault_tolerance_flags() {
-        let argv = [
+        let (flags, _, faults) = parse_coordinate_args(&[
             "--shard-timeout",
             "2.5",
             "--max-inflight",
@@ -377,19 +343,18 @@ mod tests {
             "250",
             "--inject-host-fault",
             "local=crash@0",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let args = parse_coordinate_args(argv)
-            .expect("parses")
-            .expect("not help");
-        assert_eq!(args.runner.shard_timeout, Some(Duration::from_millis(2500)));
-        assert_eq!(args.max_inflight, Some(4));
-        assert!(args.runner.resume);
-        assert_eq!(args.runner.worker_args, ["--inject-slow-ms", "250"]);
-        assert_eq!(args.runner.faults.len(), 1);
-        assert_eq!(args.runner.faults[0].host, "local");
+        ])
+        .expect("parses")
+        .expect("not help");
+        assert_eq!(
+            flags.opt_secs("shard-timeout"),
+            Some(Duration::from_millis(2500))
+        );
+        assert_eq!(flags.opt_usize("max-inflight"), Some(4));
+        assert!(flags.flag("resume"));
+        assert_eq!(flags.list("worker-arg"), ["--inject-slow-ms", "250"]);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].host, "local");
     }
 
     #[test]
@@ -404,30 +369,23 @@ mod tests {
             &["--worker-arg"][..],
             &["--inject-host-fault", "local=melt"][..],
         ] {
-            let argv = words.iter().map(|s| (*s).to_owned()).collect();
-            assert!(parse_coordinate_args(argv).is_err(), "{words:?} must fail");
+            assert!(parse_coordinate_args(words).is_err(), "{words:?} must fail");
         }
     }
 
     #[test]
     fn shard_args_parse_the_new_injection_hooks() {
-        let argv = [
+        let (flags, _, _) = parse_shard_args(&[
             "--inject-slow-ms",
             "250",
             "--inject-concurrency-dir",
             "/tmp/conc",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let args = parse_shard_args(argv).expect("parses").expect("not help");
-        assert_eq!(args.inject_slow_ms, 250);
-        assert_eq!(
-            args.inject_concurrency_dir,
-            Some(PathBuf::from("/tmp/conc"))
-        );
-        let bad = vec!["--inject-slow-ms".to_owned(), "soon".to_owned()];
-        assert!(parse_shard_args(bad).is_err());
+        ])
+        .expect("parses")
+        .expect("not help");
+        assert_eq!(flags.u64("inject-slow-ms"), 250);
+        assert_eq!(flags.opt_str("inject-concurrency-dir"), Some("/tmp/conc"));
+        assert!(parse_shard_args(&["--inject-slow-ms", "soon"]).is_err());
         // Crash, hang and torn-stream faults are the runner's
         // `--inject-host-fault`; the worker's old hooks are usage errors.
         for removed in [
@@ -436,30 +394,24 @@ mod tests {
             &["--inject-truncate-once", "/tmp/marker"][..],
             &["--inject-hang-once", "/tmp/marker"][..],
         ] {
-            let argv = removed.iter().map(|s| (*s).to_owned()).collect();
-            assert_eq!(shard_main(argv), 2, "{removed:?} must be a usage error");
+            assert_eq!(
+                shard_main(argv(removed)),
+                2,
+                "{removed:?} must be a usage error"
+            );
         }
     }
 
     #[test]
     fn campaign_model_flags_parse_on_both_entry_points() {
-        let argv: Vec<String> = ["--defect-model", "clustered", "--cluster-size", "6"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let shard = parse_shard_args(argv.clone())
-            .expect("parses")
-            .expect("not help");
-        let config = shard.campaign.into_config();
+        let words = ["--defect-model", "clustered", "--cluster-size", "6"];
+        let (_, config, _) = parse_shard_args(&words).expect("parses").expect("not help");
         assert_eq!(config.model.kind(), xbar_core::DefectModelKind::Clustered);
         assert_eq!(config.model.cluster_size(), 6.0);
-        let coord = parse_coordinate_args(argv)
+        let (_, coord, _) = parse_coordinate_args(&words)
             .expect("parses")
             .expect("not help");
-        assert_eq!(
-            coord.campaign.model_kind,
-            xbar_core::DefectModelKind::Clustered
-        );
+        assert_eq!(coord.model, config.model);
 
         for words in [
             &["--defect-model", "blobs"][..],
@@ -468,19 +420,37 @@ mod tests {
             &["--line-rate", "1.5"][..],
             &["--line-rate", "-0.1"][..],
         ] {
-            let argv = words.iter().map(|s| (*s).to_owned()).collect();
-            assert!(parse_shard_args(argv).is_err(), "{words:?} must fail");
+            assert!(parse_shard_args(words).is_err(), "{words:?} must fail");
         }
     }
 
     #[test]
+    fn campaigns_run_rejects_are_usage_errors_on_every_mc_front_end() {
+        for words in [
+            &["--defect-rate", "1.5"][..],
+            &["--defect-rate", "-0.5"][..],
+            &["--samples", "0"][..],
+            &["--circuits", "rd53,rd53"][..],
+            &["--circuits", "b12"][..],
+        ] {
+            assert!(parse_shard_args(words).is_err(), "shard {words:?}");
+            assert!(
+                parse_coordinate_args(words).is_err(),
+                "coordinate {words:?}"
+            );
+        }
+        let (_, all, _) = parse_coordinate_args(&["--circuits", "all"])
+            .expect("parses")
+            .expect("not help");
+        let (_, default, _) = parse_coordinate_args(&[])
+            .expect("parses")
+            .expect("not help");
+        assert_eq!(all, default);
+    }
+
+    #[test]
     fn out_of_range_shard_index_is_exit_2() {
-        let code = shard_main(
-            ["--shard-index", "4", "--num-shards", "2"]
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect(),
-        );
+        let code = shard_main(argv(&["--shard-index", "4", "--num-shards", "2"]));
         assert_eq!(code, 2);
     }
 }

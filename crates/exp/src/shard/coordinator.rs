@@ -366,37 +366,7 @@ fn campaign_mismatch(
     found: &McConfig,
     found_shards: usize,
 ) -> Option<String> {
-    let mut diffs = Vec::new();
-    if found.seed != expected.seed {
-        diffs.push(format!("seed {} != {}", found.seed, expected.seed));
-    }
-    if found.samples != expected.samples {
-        diffs.push(format!("samples {} != {}", found.samples, expected.samples));
-    }
-    if found.defect_rate.to_bits() != expected.defect_rate.to_bits() {
-        diffs.push(format!(
-            "defect_rate {} != {}",
-            found.defect_rate, expected.defect_rate
-        ));
-    }
-    if found.stream != expected.stream {
-        diffs.push(format!(
-            "rng stream {} != {}",
-            found.stream, expected.stream
-        ));
-    }
-    if found.model != expected.model {
-        diffs.push(format!(
-            "defect_model {} != {}",
-            found.model, expected.model
-        ));
-    }
-    if found.circuits != expected.circuits {
-        diffs.push(format!(
-            "circuits {:?} != {:?}",
-            found.circuits, expected.circuits
-        ));
-    }
+    let mut diffs = found.mismatch(expected);
     if found_shards != expected_shards {
         diffs.push(format!("shards {found_shards} != {expected_shards}"));
     }

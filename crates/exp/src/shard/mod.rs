@@ -34,7 +34,10 @@ pub mod json;
 pub mod partial;
 
 use crate::cli::ExpArgs;
-use crate::experiments::table2::{run_circuit_range, table2_circuit_names, CircuitAccum};
+use crate::experiment::{Flags, ParamSpec, Params, UsageError, CAMPAIGN_PARAMS};
+use crate::experiments::table2::{
+    resolve_circuit_subset, run_circuit_range, table2_circuit_names, CircuitAccum, TABLE2_PARAMS,
+};
 use json::Json;
 use std::ops::Range;
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
@@ -238,6 +241,98 @@ impl McConfig {
         })
     }
 
+    /// The campaign `xbar run table2` runs for `params` (parsed against
+    /// `TABLE2_PARAMS`): its circuit selector resolved against the Table
+    /// II set, so every front-end accepts exactly the campaigns `run`
+    /// accepts.
+    ///
+    /// # Errors
+    ///
+    /// Names the first circuit that is not Table II-eligible or is
+    /// repeated.
+    pub fn from_params(params: &Params) -> Result<Self, UsageError> {
+        let circuits = resolve_circuit_subset(params.list("circuits"))?;
+        Ok(Self {
+            samples: params.samples,
+            seed: params.seed,
+            defect_rate: params.defect_rate,
+            stream: params.sample_stream(),
+            model: params.defect_model(),
+            circuits,
+        })
+    }
+
+    /// The `xbar run table2` flags that describe this campaign: parsed
+    /// back through [`McConfig::from_params`] they give this config
+    /// exactly (floats are written as shortest round-trip text). Model
+    /// flags appear only for a non-default model, so a default campaign
+    /// keeps the argv it had before spatial models existed.
+    #[must_use]
+    pub fn to_argv(&self) -> Vec<String> {
+        let mut args = vec![
+            "--samples".to_owned(),
+            self.samples.to_string(),
+            "--seed".to_owned(),
+            self.seed.to_string(),
+            "--defect-rate".to_owned(),
+            format!("{:?}", self.defect_rate),
+            "--rng-stream".to_owned(),
+            self.stream.as_str().to_owned(),
+        ];
+        if !self.model.is_default() {
+            args.push("--defect-model".to_owned());
+            args.push(self.model.kind().as_str().to_owned());
+            if self.model.uses_cluster() {
+                args.push("--cluster-size".to_owned());
+                args.push(format!("{:?}", self.model.cluster_size()));
+            }
+            if self.model.uses_lines() {
+                args.push("--line-rate".to_owned());
+                args.push(format!("{:?}", self.model.line_rate()));
+            }
+        }
+        args.push("--circuits".to_owned());
+        args.push(self.circuits.join(","));
+        args
+    }
+
+    /// How this campaign differs from `expected`: one `field found !=
+    /// expected` entry per differing identity field, empty when both
+    /// describe the same campaign. Partials, checkpoints and run
+    /// directories are all checked through this one comparison.
+    #[must_use]
+    pub(crate) fn mismatch(&self, expected: &McConfig) -> Vec<String> {
+        let mut diffs = Vec::new();
+        if self.samples != expected.samples {
+            diffs.push(format!("samples {} != {}", self.samples, expected.samples));
+        }
+        if self.seed != expected.seed {
+            diffs.push(format!("seed {} != {}", self.seed, expected.seed));
+        }
+        if self.defect_rate.to_bits() != expected.defect_rate.to_bits() {
+            diffs.push(format!(
+                "defect_rate {} != {}",
+                self.defect_rate, expected.defect_rate
+            ));
+        }
+        if self.stream != expected.stream {
+            diffs.push(format!("rng stream {} != {}", self.stream, expected.stream));
+        }
+        if self.model != expected.model {
+            diffs.push(format!(
+                "defect_model {} != {} (sampled under another spatial defect model)",
+                self.model, expected.model
+            ));
+        }
+        if self.circuits != expected.circuits {
+            diffs.push(format!(
+                "circuits {:?} != {:?}",
+                self.circuits, expected.circuits
+            ));
+        }
+        diffs
+    }
+
     /// The equivalent single-process experiment arguments.
     #[must_use]
     pub fn exp_args(&self) -> ExpArgs {
@@ -252,140 +347,28 @@ impl McConfig {
     }
 }
 
-/// Campaign-level CLI flags shared by `xbar mc shard`, `mc coordinate`
-/// and `mc launch`, so they cannot drift apart on how a campaign is
-/// described.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignFlags {
-    /// Total Monte Carlo samples (`--samples`, default 200).
-    pub samples: usize,
-    /// Experiment seed (`--seed`, default 2018).
-    pub seed: u64,
-    /// Stuck-open probability (`--defect-rate`, default 0.10).
-    pub defect_rate: f64,
-    /// Defect sampling stream (`--rng-stream`, default `v1`).
-    pub stream: SampleStream,
-    /// Spatial defect model kind (`--defect-model`, default `iid`).
-    pub model_kind: DefectModelKind,
-    /// Mean defect cluster size (`--cluster-size`, default 4).
-    pub cluster_size: f64,
-    /// Broken-line probability (`--line-rate`, default 0.02).
-    pub line_rate: f64,
-    /// Explicit circuit list (`--circuits`); `None` = the Table II set.
-    pub circuits: Option<Vec<String>>,
-}
+/// The help sections every `mc` front-end opens with: its campaign,
+/// parsed exactly as `xbar run table2` parses one.
+pub(crate) const CAMPAIGN_SECTIONS: [(&str, &[ParamSpec]); 2] = [
+    (
+        "campaign flags (as `xbar run table2` takes them)",
+        CAMPAIGN_PARAMS,
+    ),
+    ("", TABLE2_PARAMS),
+];
 
-impl Default for CampaignFlags {
-    fn default() -> Self {
-        Self {
-            samples: 200,
-            seed: 2018,
-            defect_rate: 0.10,
-            stream: SampleStream::V1,
-            model_kind: DefectModelKind::Iid,
-            cluster_size: DefectModelSpec::DEFAULT_CLUSTER_SIZE,
-            line_rate: DefectModelSpec::DEFAULT_LINE_RATE,
-            circuits: None,
-        }
-    }
-}
-
-/// The usage lines for the flags [`CampaignFlags::consume`] accepts.
-pub const CAMPAIGN_FLAGS_USAGE: &str =
-    "  --samples N        total campaign samples (default 200)\n  \
---seed N           experiment seed (default 2018)\n  \
---defect-rate F    stuck-open probability (default 0.10)\n  \
---rng-stream v1|v2 defect sampling stream (default v1)\n  \
---defect-model M   iid|clustered|lines|composite (default iid)\n  \
---cluster-size F   mean defect cluster size, >= 1 (default 4)\n  \
---line-rate F      broken-line probability in [0, 1] (default 0.02)\n  \
---circuits a,b     registry circuits (default: the Table II set)";
-
-impl CampaignFlags {
-    /// Tries to consume one campaign flag (plus its value from `it`);
-    /// `Ok(false)` when `flag` is not a campaign flag.
-    ///
-    /// # Errors
-    ///
-    /// Reports a missing or malformed value (the CLI prints it with usage
-    /// text and exits with code 2 — never a panic/backtrace).
-    pub fn consume(
-        &mut self,
-        flag: &str,
-        it: &mut dyn Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let value = |it: &mut dyn Iterator<Item = String>| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let num = |flag: &str, text: String| -> Result<u64, String> {
-            text.parse()
-                .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-        };
-        match flag {
-            "--samples" => {
-                self.samples = usize::try_from(num(flag, value(it)?)?)
-                    .map_err(|_| format!("{flag}: value exceeds usize"))?;
-            }
-            "--seed" => self.seed = num(flag, value(it)?)?,
-            "--defect-rate" => {
-                let text = value(it)?;
-                let rate: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a float, got {text:?}"))?;
-                if !rate.is_finite() {
-                    return Err(format!("{flag} must be finite"));
-                }
-                self.defect_rate = rate;
-            }
-            "--rng-stream" => {
-                self.stream = SampleStream::parse(&value(it)?)?;
-            }
-            "--defect-model" => {
-                self.model_kind = DefectModelKind::parse(&value(it)?)?;
-            }
-            "--cluster-size" => {
-                let text = value(it)?;
-                let size: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a float, got {text:?}"))?;
-                if !size.is_finite() || size < 1.0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                self.cluster_size = size;
-            }
-            "--line-rate" => {
-                let text = value(it)?;
-                let rate: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a float, got {text:?}"))?;
-                if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("{flag} must be a probability in [0, 1]"));
-                }
-                self.line_rate = rate;
-            }
-            "--circuits" => {
-                self.circuits = Some(value(it)?.split(',').map(str::to_owned).collect());
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Resolves into a campaign configuration (defaulting the circuit
-    /// list to the Table II set).
-    #[must_use]
-    pub fn into_config(self) -> McConfig {
-        let model = DefectModelSpec::new(self.model_kind, self.cluster_size, self.line_rate)
-            .expect("consume() range-checked the model parameters");
-        McConfig {
-            samples: self.samples,
-            seed: self.seed,
-            defect_rate: self.defect_rate,
-            stream: self.stream,
-            model,
-            circuits: self.circuits.unwrap_or_else(table2_circuit_names),
-        }
-    }
+/// The campaign an `mc` front-end's flags describe (parsed against
+/// [`CAMPAIGN_SECTIONS`] among its tables): the `table2` [`Params`], with
+/// `xbar run table2`'s central checks, and the [`McConfig`] they resolve
+/// to.
+///
+/// # Errors
+///
+/// Reports a campaign `xbar run table2` would reject.
+pub(crate) fn campaign(flags: &Flags) -> Result<(Params, McConfig), UsageError> {
+    let params = Params::from_flags(flags, TABLE2_PARAMS)?;
+    let config = McConfig::from_params(&params)?;
+    Ok((params, config))
 }
 
 /// Runs one shard of the Table II workload in-process: folds the shard's
@@ -457,10 +440,14 @@ mod tests {
         assert_eq!(parts.iter().map(ShardSpec::len).sum::<usize>(), 2);
     }
 
+    fn campaign(words: &[&str]) -> Result<McConfig, UsageError> {
+        let params = Params::parse(TABLE2_PARAMS, words.iter().map(|s| (*s).to_owned()))?;
+        McConfig::from_params(&params)
+    }
+
     #[test]
-    fn campaign_flags_consume_shared_flags_and_resolve_defaults() {
-        let mut flags = CampaignFlags::default();
-        let words = [
+    fn campaign_params_resolve_to_the_config_and_default_to_table2() {
+        let config = campaign(&[
             "--samples",
             "50",
             "--seed",
@@ -469,36 +456,49 @@ mod tests {
             "0.25",
             "--circuits",
             "rd53,bw",
-        ];
-        let mut it = words.iter().map(|s| (*s).to_owned());
-        while let Some(flag) = it.next() {
-            assert_eq!(
-                flags.consume(&flag, &mut it),
-                Ok(true),
-                "{flag} must be consumed"
-            );
-        }
-        let mut other = ["--shards".to_owned()].into_iter();
-        assert_eq!(
-            flags.consume("--shards", &mut other),
-            Ok(false),
-            "non-campaign flags are left for the caller"
-        );
-        let mut empty = std::iter::empty();
-        let err = flags
-            .consume("--samples", &mut empty)
-            .expect_err("missing value is an error, not a panic");
-        assert!(err.contains("needs a value"), "{err}");
-        let mut bad = ["many".to_owned()].into_iter();
-        let err = flags.consume("--samples", &mut bad).expect_err("must fail");
-        assert!(err.contains("expected a number"), "{err}");
-        let config = flags.into_config();
+        ])
+        .expect("parses");
         assert_eq!(config.samples, 50);
         assert_eq!(config.seed, 9);
+        assert_eq!(config.defect_rate.to_bits(), 0.25f64.to_bits());
         assert_eq!(config.circuits, ["rd53", "bw"]);
 
-        let defaulted = CampaignFlags::default().into_config();
+        let defaulted = campaign(&[]).expect("parses");
         assert_eq!(defaulted.circuits, table2_circuit_names());
+        assert_eq!(campaign(&["--circuits", "all"]), Ok(defaulted));
+        for (words, needle) in [
+            (&["--circuits", "rd53,rd53"][..], "listed twice"),
+            (&["--circuits", "b12"][..], "not a Table II circuit"),
+        ] {
+            let err = campaign(words).expect_err("must fail");
+            assert!(err.0.contains(needle), "{words:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn mismatch_names_every_differing_field() {
+        let config = McConfig::with_default_circuits(10, 1, 0.1);
+        assert!(config.mismatch(&config).is_empty());
+        let other = McConfig {
+            samples: 11,
+            seed: 2,
+            defect_rate: 0.2,
+            stream: SampleStream::V2,
+            model: DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.5).expect("valid"),
+            circuits: vec!["rd53".to_owned()],
+        };
+        let diffs = other.mismatch(&config).join(", ");
+        for needle in [
+            "samples 11 != 10",
+            "seed 2 != 1",
+            "defect_rate 0.2 != 0.1",
+            "rng stream v2 != v1",
+            "defect_model lines",
+            "defect model",
+            "circuits [\"rd53\"]",
+        ] {
+            assert!(diffs.contains(needle), "missing {needle}: {diffs}");
+        }
     }
 
     #[test]

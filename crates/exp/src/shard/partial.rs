@@ -66,44 +66,13 @@ impl ShardPartial {
     ///
     /// # Errors
     ///
-    /// Names the first disagreeing field.
+    /// Names every disagreeing identity field (`McConfig::mismatch`).
     pub fn validate_config_echo(&self, config: &McConfig) -> Result<(), String> {
-        if self.config.samples != config.samples {
+        let diffs = self.config.mismatch(config);
+        if !diffs.is_empty() {
             return Err(format!(
-                "samples {} != campaign {}",
-                self.config.samples, config.samples
-            ));
-        }
-        if self.config.seed != config.seed {
-            return Err(format!(
-                "seed {} != campaign {}",
-                self.config.seed, config.seed
-            ));
-        }
-        if self.config.defect_rate.to_bits() != config.defect_rate.to_bits() {
-            return Err(format!(
-                "defect_rate {} != campaign {}",
-                self.config.defect_rate, config.defect_rate
-            ));
-        }
-        if self.config.stream != config.stream {
-            return Err(format!(
-                "rng stream {} != campaign {} (a shard sampled under a \
-                 different stream cannot merge into this campaign)",
-                self.config.stream, config.stream
-            ));
-        }
-        if self.config.model != config.model {
-            return Err(format!(
-                "defect model {} != campaign {} (a shard sampled under a \
-                 different spatial model cannot merge into this campaign)",
-                self.config.model, config.model
-            ));
-        }
-        if self.config.circuits != config.circuits {
-            return Err(format!(
-                "circuit list {:?} != campaign {:?}",
-                self.config.circuits, config.circuits
+                "{} (a shard of another campaign cannot merge into this one)",
+                diffs.join(", ")
             ));
         }
         if self.circuits.len() != config.circuits.len() {

@@ -473,6 +473,11 @@ fn usage_problems_exit_2_with_help_not_a_backtrace() {
         &["mc", "coordinate", "--shard-timeout", "0"][..],
         &["mc", "coordinate", "--max-inflight", "0"][..],
         &["mc", "coordinate", "--worker-arg"][..],
+        // The `mc` front-ends reject exactly the campaigns `run` rejects.
+        &["mc", "coordinate", "--defect-rate", "1.5"][..],
+        &["mc", "coordinate", "--samples", "0"][..],
+        &["mc", "coordinate", "--circuits", "rd53,rd53"][..],
+        &["mc", "shard", "--defect-rate", "-0.5"][..],
     ] {
         let out = xbar(args);
         assert_eq!(
@@ -495,6 +500,8 @@ fn describe_and_help_exit_0() {
         &["run", "table2", "--help"][..],
         &["mc", "shard", "--help"][..],
         &["mc", "coordinate", "--help"][..],
+        &["mc", "launch", "--help"][..],
+        &["serve", "--help"][..],
     ] {
         let out = xbar(args);
         assert!(out.status.success(), "xbar {args:?} failed");
@@ -552,6 +559,25 @@ fn mc_coordinate_is_byte_identical_to_in_process_with_xbar_as_its_own_worker() {
         "3-shard xbar run must be byte-identical to --in-process"
     );
     Json::parse(&sharded_text).expect("merged artifact parses");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mc_coordinate_circuits_all_is_the_default_circuit_set() {
+    let dir = std::env::temp_dir().join(format!("xbar-cli-all-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |extra: &[&str], name: &str| {
+        let path = dir.join(name);
+        let mut args = vec!["mc", "coordinate", "--in-process", "--samples", "1"];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&["--out", path.to_str().expect("utf8 path")]);
+        let out = xbar(&args);
+        assert!(out.status.success(), "xbar {args:?}: {}", stderr(&out));
+        std::fs::read(&path).expect("merged artifact")
+    };
+    let all = run(&["--circuits", "all"], "all.json");
+    let default = run(&[], "default.json");
+    assert_eq!(all, default, "`--circuits all` is the default Table II set");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

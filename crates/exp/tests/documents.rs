@@ -3,7 +3,9 @@
 //! partial, a `campaign.json` manifest and merged stats. Each one, parsed
 //! with `Json::parse` and re-rendered in its own layout, must give back
 //! exactly the bytes it was written as — which holds only because `Json`
-//! keeps numbers as raw text and object fields in insertion order.
+//! keeps numbers as raw text and object fields in insertion order. A
+//! second property round-trips a campaign through the argv it is
+//! dispatched to a worker with.
 
 use proptest::prelude::*;
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
@@ -42,29 +44,6 @@ fn model(kind: usize, cluster: f64, lines: f64) -> DefectModelSpec {
         DefectModelKind::Composite,
     ][kind];
     DefectModelSpec::new(kind, cluster, lines).expect("valid model")
-}
-
-fn table2_argv(config: &McConfig) -> Vec<String> {
-    let mut argv: Vec<String> = [
-        "--samples",
-        "2",
-        "--seed",
-        &config.seed.to_string(),
-        "--rng-stream",
-        config.stream.as_str(),
-        "--defect-model",
-        config.model.kind().as_str(),
-        "--cluster-size",
-        &format!("{:?}", config.model.cluster_size()),
-        "--line-rate",
-        &format!("{:?}", config.model.line_rate()),
-    ]
-    .iter()
-    .map(|word| (*word).to_owned())
-    .collect();
-    argv.push("--circuits".to_owned());
-    argv.push(config.circuits.join(","));
-    argv
 }
 
 fn assert_roundtrips(text: &str, render: impl Fn(&Json) -> String) {
@@ -132,7 +111,7 @@ proptest! {
         let quick: Vec<String> = QUICK_CIRCUITS.iter().map(|c| (*c).to_owned()).collect();
         let config = McConfig { circuits: subset(&quick, quick_mask), ..config };
         let exp = find_experiment("table2").expect("registered");
-        let argv = table2_argv(&config);
+        let argv = McConfig { samples: 2, ..config.clone() }.to_argv();
         let params = Params::parse(exp.extra_params(), argv.clone()).expect("params");
         let artifact = exp
             .run(&params, &mut Reporter::quiet())
@@ -154,5 +133,43 @@ proptest! {
             ],
         );
         assert_roundtrips(&result, Json::render_compact);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every campaign the runner dispatches, written as its worker argv
+    /// (`McConfig::to_argv`), parses back through the worker's own
+    /// `table2` parse to exactly that campaign: the worker's stricter
+    /// checks accept everything the runner sends.
+    #[test]
+    fn campaign_argv_parses_back_to_the_same_campaign(
+        samples in 1usize..1_000_000,
+        seed in 0u64..u64::MAX,
+        v2 in prop::bool::ANY,
+        kind in 0usize..4,
+        defect_rate in 0.0f64..1.0,
+        cluster in 1.0f64..8.0,
+        lines in 0.0f64..1.0,
+        mask in 0u32..1 << 16,
+        reversed in prop::bool::ANY,
+    ) {
+        let mut circuits = subset(&table2_circuit_names(), mask);
+        if reversed {
+            circuits.reverse();
+        }
+        let config = McConfig {
+            samples,
+            seed,
+            defect_rate,
+            stream: if v2 { SampleStream::V2 } else { SampleStream::V1 },
+            model: model(kind, cluster, lines),
+            circuits,
+        };
+        let exp = find_experiment("table2").expect("registered");
+        let params = Params::parse(exp.extra_params(), config.to_argv())
+            .expect("the worker accepts every dispatched campaign");
+        prop_assert_eq!(McConfig::from_params(&params).expect("resolves"), config);
     }
 }

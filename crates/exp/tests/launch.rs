@@ -494,6 +494,7 @@ fn cli_launch_rejects_bad_fleets_with_usage_not_panic() {
             "a=melt",
         ][..],
         &["mc", "launch", "--hosts", "a", "--hedge-after", "soon"][..],
+        &["mc", "launch", "--hosts", "a", "--circuits", "rd53,rd53"][..],
     ] {
         let out = xbar(args);
         assert_eq!(

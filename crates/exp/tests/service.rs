@@ -141,6 +141,41 @@ fn a_deeply_nested_request_line_gets_an_error_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn an_oversized_request_line_gets_an_error_and_the_daemon_keeps_serving() {
+    // 1 MiB with no newline from an untrusted peer: the daemon must stop
+    // reading at its line bound and answer `error`, instead of buffering
+    // until the peer disconnects and never replying.
+    use std::io::Write as _;
+    let work_dir = scratch("oversized-line");
+    let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
+    let stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    writer
+        .write_all(&vec![b'x'; 1 << 20])
+        .expect("send the oversized line");
+    let mut reply = String::new();
+    std::io::BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("read reply");
+    let doc = Json::parse(reply.trim()).expect("the reply is one JSON line");
+    assert_eq!(
+        doc.get("type").and_then(Json::as_str),
+        Some("error"),
+        "{reply}"
+    );
+    drop(writer);
+
+    let stats = daemon.submit(&["--stats"]);
+    assert!(stats.status.success(), "daemon must survive: {stats:?}");
+    assert!(stdout_str(&stats).contains("\"cache_hits\""), "{stats:?}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
 fn served_artifact_is_byte_identical_to_xbar_run_and_repeats_hit_the_cache() {
     let work_dir = scratch("identity");
     let daemon = Daemon::start(&work_dir, &["--max-inflight", "2", "--job-shards", "2"]);
