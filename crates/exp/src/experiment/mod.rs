@@ -82,6 +82,12 @@ pub trait Experiment: Sync {
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError>;
 }
 
+impl fmt::Debug for dyn Experiment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// The deterministic result payload of one experiment run. Wrap the
 /// experiment-specific data tree with [`Artifact::new`]; the framework
 /// adds the schema envelope (`schema`, `experiment`, `params`).

@@ -104,40 +104,17 @@ where
     F: Fn(&mut S, usize, u64) -> T + Sync,
 {
     let samples = range.len();
-    let workers = thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(samples.max(1));
-    // Disjoint contiguous chunks: worker w owns [start, end) within the
-    // range. The first `samples % workers` chunks carry one extra sample.
-    let base = samples / workers;
-    let extra = samples % workers;
-    let bounds = |w: usize| {
-        let start = range.start + w * base + w.min(extra);
-        let end = start + base + usize::from(w < extra);
-        (start, end)
-    };
-
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (start, end) = bounds(w);
-                let init = &init;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut state = init();
-                    (start..end)
-                        .map(|i| f(&mut state, i, sample_seed(experiment_seed, i)))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(samples);
-        for handle in handles {
-            results.extend(handle.join().expect("no poisoned worker"));
-        }
-        results
-    })
+    let chunks = in_worker_chunks(range, |chunk| {
+        let mut state = init();
+        chunk
+            .map(|i| f(&mut state, i, sample_seed(experiment_seed, i)))
+            .collect::<Vec<T>>()
+    });
+    let mut results = Vec::with_capacity(samples);
+    for chunk in chunks {
+        results.extend(chunk);
+    }
+    results
 }
 
 /// Streaming fold over a sample range: each worker folds its contiguous
@@ -167,41 +144,53 @@ where
     F: Fn(&mut A, &mut S, usize, u64) + Sync,
     M: Fn(&mut A, A),
 {
+    let mut total = empty();
+    let chunks = in_worker_chunks(range, |chunk| {
+        let mut state = init();
+        let mut accum = empty();
+        for i in chunk {
+            fold(&mut accum, &mut state, i, sample_seed(experiment_seed, i));
+        }
+        accum
+    });
+    for accum in chunks {
+        merge(&mut total, accum);
+    }
+    total
+}
+
+/// The one parallel fan-out behind every Monte Carlo entry point: splits
+/// `range` into one disjoint contiguous chunk per worker (at most one per
+/// CPU, never more than the sample count), runs `work` on each chunk on
+/// its own scoped thread, and returns the chunk results in worker order
+/// — which is sample order.
+fn in_worker_chunks<R, W>(range: Range<usize>, work: W) -> Vec<R>
+where
+    R: Send,
+    W: Fn(Range<usize>) -> R + Sync,
+{
     let samples = range.len();
     let workers = thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(samples.max(1));
+    // Worker w owns [start, end) within the range. The first
+    // `samples % workers` chunks carry one extra sample.
     let base = samples / workers;
     let extra = samples % workers;
-    let bounds = |w: usize| {
-        let start = range.start + w * base + w.min(extra);
-        let end = start + base + usize::from(w < extra);
-        (start, end)
-    };
-
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let (start, end) = bounds(w);
-                let init = &init;
-                let empty = &empty;
-                let fold = &fold;
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut accum = empty();
-                    for i in start..end {
-                        fold(&mut accum, &mut state, i, sample_seed(experiment_seed, i));
-                    }
-                    accum
-                })
+                let start = range.start + w * base + w.min(extra);
+                let end = start + base + usize::from(w < extra);
+                let work = &work;
+                scope.spawn(move || work(start..end))
             })
             .collect();
-        let mut total = empty();
-        for handle in handles {
-            merge(&mut total, handle.join().expect("no poisoned worker"));
-        }
-        total
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("no poisoned worker"))
+            .collect()
     })
 }
 

@@ -5,6 +5,12 @@
 //! exactly the bytes `xbar run <exp> --json` would print — goes to
 //! stdout (or, with `--out`, is written atomically to a file), so the
 //! client composes with pipes and `cmp` the same way `xbar run` does.
+//!
+//! A waited submit has one follow path: when its connection is lost, the
+//! client reconnects and re-sends the same submit, which the daemon
+//! answers like any other — it coalesces onto the live job, hits the
+//! cache once the job is done, or, after a daemon restart, starts a job
+//! that resumes from the dead one's checkpoints.
 
 use crate::atomic::write_atomic;
 use crate::service::protocol::{Request, PROTOCOL};
@@ -21,9 +27,10 @@ use std::time::Duration;
 const RECONNECT_ATTEMPTS: u32 = 40;
 /// Pause between reconnect attempts.
 const RECONNECT_DELAY: Duration = Duration::from_millis(250);
-/// How many times a vanished job (daemon restarted with fresh queue
-/// state) is resubmitted before the client gives up. Checkpoints in a
-/// shared `--work-dir` make each resubmit a resume, not a restart.
+/// How many re-sent submits of a waited job may start a new job (a
+/// `miss`: the daemon restarted and lost it) before the client gives up.
+/// Checkpoints in a shared `--work-dir` make each one a resume, not a
+/// restart.
 const MAX_RESUBMITS: u32 = 3;
 
 /// What one `xbar submit` invocation asks the daemon to do.
@@ -146,49 +153,49 @@ struct Reply {
     line: String,
 }
 
-/// Why a reply could not be produced. The split matters for `--wait`
-/// hardening: an [`ReadError::Io`] failure means the *connection* died
-/// (the daemon may be bouncing — reconnect and keep following the job),
-/// while a [`ReadError::Daemon`] error is the daemon answering clearly —
-/// retrying the same request would loop forever on the same answer.
-enum ReadError {
-    /// The connection broke (closed, reset, unparseable stream).
-    Io(String),
-    /// The daemon replied with an `error` line.
-    Daemon(String),
+/// Why a request did not complete. The split matters for `--wait`: a
+/// [`Failure::Lost`] connection (closed, reset, unparseable stream) may be
+/// a bouncing daemon — reconnect and re-send — while a
+/// [`Failure::Final`] error (the daemon replied `error`, or the artifact
+/// could not be written) would recur on every retry.
+enum Failure {
+    /// The connection broke.
+    Lost(String),
+    /// An answer; retrying would get the same one.
+    Final(String),
 }
 
 fn read_reply_raw(
     lines: &mut impl Iterator<Item = std::io::Result<String>>,
-) -> Result<Reply, ReadError> {
+) -> Result<Reply, Failure> {
     let line = lines
         .next()
-        .ok_or_else(|| ReadError::Io("connection closed by the daemon".to_owned()))?
-        .map_err(|e| ReadError::Io(format!("cannot read from the daemon: {e}")))?;
+        .ok_or_else(|| Failure::Lost("connection closed by the daemon".to_owned()))?
+        .map_err(|e| Failure::Lost(format!("cannot read from the daemon: {e}")))?;
     let doc = Json::parse(&line)
-        .map_err(|e| ReadError::Io(format!("unparseable response {line:?}: {e}")))?;
+        .map_err(|e| Failure::Lost(format!("unparseable response {line:?}: {e}")))?;
     match doc.get("svc").and_then(Json::as_str) {
         Some(PROTOCOL) => {}
-        _ => return Err(ReadError::Io(format!("not an {PROTOCOL} response: {line}"))),
+        _ => return Err(Failure::Lost(format!("not an {PROTOCOL} response: {line}"))),
     }
     let kind = doc
         .get("type")
         .and_then(Json::as_str)
-        .ok_or_else(|| ReadError::Io(format!("response without a type: {line}")))?
+        .ok_or_else(|| Failure::Lost(format!("response without a type: {line}")))?
         .to_owned();
     if kind == "error" {
         let message = doc
             .get("message")
             .and_then(Json::as_str)
             .unwrap_or("unspecified error");
-        return Err(ReadError::Daemon(message.to_owned()));
+        return Err(Failure::Final(message.to_owned()));
     }
     Ok(Reply { kind, doc, line })
 }
 
 fn read_reply(lines: &mut impl Iterator<Item = std::io::Result<String>>) -> Result<Reply, String> {
     read_reply_raw(lines).map_err(|e| match e {
-        ReadError::Io(m) | ReadError::Daemon(m) => m,
+        Failure::Lost(m) | Failure::Final(m) => m,
     })
 }
 
@@ -278,204 +285,143 @@ fn print_progress(job: u64, reply: &Reply) {
 }
 
 fn run_submit(args: &SubmitArgs) -> Result<(), String> {
-    let (mut writer, mut lines) = connect(&args.connect)?;
-    let send = send_request;
-
     match &args.mode {
         Mode::Submit {
             experiment,
             args: exp_args,
-        } => {
-            send(
-                &mut writer,
-                &Request::Submit {
-                    experiment: experiment.clone(),
-                    args: exp_args.clone(),
-                    wait: args.wait,
-                },
-            )?;
-            let submitted = read_reply(&mut lines)?;
-            let job = submitted.doc.get("job").and_then(Json::as_u64);
-            let cache = submitted
-                .doc
-                .get("cache")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown");
-            eprintln!(
-                "xbar submit: job {} (cache {cache})",
-                job.map_or_else(|| "?".to_owned(), |j| j.to_string())
-            );
-            if !args.wait {
-                return Ok(());
-            }
-            loop {
-                match read_reply_raw(&mut lines) {
-                    Ok(reply) => match reply.kind.as_str() {
-                        "progress" => {
-                            print_progress(
-                                reply.doc.get("job").and_then(Json::as_u64).unwrap_or(0),
-                                &reply,
-                            );
-                        }
-                        "result" => {
-                            deliver_artifact(&reply, args.out.as_ref())?;
-                            eprintln!("xbar submit: result ({})", describe_result(&reply));
-                            return Ok(());
-                        }
-                        other => {
-                            return Err(format!("unexpected {other:?} response while waiting"))
-                        }
-                    },
-                    // A daemon error is an answer; retrying would get the
-                    // same one.
-                    Err(ReadError::Daemon(e)) => return Err(e),
-                    // A broken connection is not: the job keeps running
-                    // (or resumes from checkpoints after a daemon bounce),
-                    // so reconnect and keep following it.
-                    Err(ReadError::Io(io)) => {
-                        let Some(id) = job else { return Err(io) };
-                        eprintln!(
-                            "xbar submit: lost the daemon ({io}); reconnecting to follow job {id}"
-                        );
-                        return resume_wait(args, experiment, exp_args, id);
-                    }
-                }
-            }
-        }
+        } => submit_and_follow(
+            args,
+            &Request::Submit {
+                experiment: experiment.clone(),
+                args: exp_args.clone(),
+                wait: args.wait,
+            },
+        ),
         Mode::ResultOf(id) => {
-            send(&mut writer, &Request::ResultOf { job: *id })?;
-            let reply = read_reply(&mut lines)?;
+            let reply = query(&args.connect, &Request::ResultOf { job: *id })?;
             deliver_artifact(&reply, args.out.as_ref())?;
             eprintln!("xbar submit: result ({})", describe_result(&reply));
             Ok(())
         }
-        Mode::Status(id) => {
-            send(&mut writer, &Request::Status { job: *id })?;
-            print_reply_line(&read_reply(&mut lines)?)
-        }
+        Mode::Status(id) => print_reply_line(&query(&args.connect, &Request::Status { job: *id })?),
         Mode::Cancel(id) => {
-            send(&mut writer, &Request::Cancel { job: *id })?;
-            let _ = read_reply(&mut lines)?;
+            query(&args.connect, &Request::Cancel { job: *id })?;
             eprintln!("xbar submit: cancelled job {id}");
             Ok(())
         }
-        Mode::Stats => {
-            send(&mut writer, &Request::Stats)?;
-            print_reply_line(&read_reply(&mut lines)?)
-        }
+        Mode::Stats => print_reply_line(&query(&args.connect, &Request::Stats)?),
         Mode::Shutdown => {
-            send(&mut writer, &Request::Shutdown)?;
-            let _ = read_reply(&mut lines)?;
+            query(&args.connect, &Request::Shutdown)?;
             eprintln!("xbar submit: daemon is draining");
             Ok(())
         }
     }
 }
 
-/// Follows a job across daemon outages: reconnect (bounded consecutive
-/// attempts), poll `status`, fetch the artifact with `result` once done.
-/// If the daemon comes back with fresh queue state ("no such job" — it
-/// was restarted, not just unreachable), the original submit is resent
-/// up to [`MAX_RESUBMITS`] times; shard checkpoints in a shared work dir
-/// turn each resubmit into a resume. The delivered bytes are the same
-/// cached artifact an uninterrupted `--wait` would have printed.
-fn resume_wait(
-    args: &SubmitArgs,
-    experiment: &str,
-    exp_args: &[String],
-    mut job: u64,
-) -> Result<(), String> {
-    let mut failures: u32 = 0;
-    let mut resubmits: u32 = 0;
-    let mut polls: u32 = 0;
+/// Sends one request on a fresh connection and reads its one reply.
+fn query(addr: &str, request: &Request) -> Result<Reply, String> {
+    let (mut writer, mut lines) = connect(addr)?;
+    send_request(&mut writer, request)?;
+    read_reply(&mut lines)
+}
+
+/// Sends a submit and, with `--wait`, follows it to its result. A lost
+/// connection is not an answer: once the daemon has accepted the submit,
+/// the client reconnects (at most [`RECONNECT_ATTEMPTS`] consecutive
+/// failed attempts, [`RECONNECT_DELAY`] apart) and re-sends the same
+/// submit. The daemon answers it like any other: it coalesces onto the
+/// live job, hits the cache if the job has finished, or — after a daemon
+/// restart lost the job — starts a new one (a `miss`, followed at most
+/// [`MAX_RESUBMITS`] times) that resumes from the job's checkpoints.
+/// Whichever way, the delivered bytes are the ones an uninterrupted
+/// `--wait` would have printed.
+fn submit_and_follow(args: &SubmitArgs, submit: &Request) -> Result<(), String> {
+    let mut follow = Follow::default();
     loop {
-        failures += 1;
-        if failures > RECONNECT_ATTEMPTS {
+        let lost = match follow.attempt(args, submit) {
+            Ok(()) => return Ok(()),
+            Err(Failure::Final(e)) => return Err(e),
+            Err(Failure::Lost(e)) => e,
+        };
+        let Some(job) = follow.job else {
+            return Err(lost);
+        };
+        if follow.failures == 0 {
+            eprintln!("xbar submit: lost the daemon ({lost}); reconnecting to follow job {job}");
+        }
+        follow.failures += 1;
+        if follow.failures > RECONNECT_ATTEMPTS {
             return Err(format!(
                 "gave up on job {job} after {RECONNECT_ATTEMPTS} consecutive failed \
                  reconnect attempts"
             ));
         }
         std::thread::sleep(RECONNECT_DELAY);
-        let Ok((mut writer, mut lines)) = connect(&args.connect) else {
-            continue;
-        };
-        if send_request(&mut writer, &Request::Status { job }).is_err() {
-            continue;
-        }
-        match read_reply_raw(&mut lines) {
-            Err(ReadError::Io(_)) => continue,
-            Err(ReadError::Daemon(e)) if e.contains("no such job") => {
-                // The daemon restarted with a fresh queue. Resubmit the
-                // original request; a shared work dir resumes from the
-                // dead job's checkpoints, and a cached artifact is an
-                // instant hit either way.
-                resubmits += 1;
-                if resubmits > MAX_RESUBMITS {
-                    return Err(format!(
-                        "job {job} vanished and {MAX_RESUBMITS} resubmit(s) did not settle"
-                    ));
+    }
+}
+
+/// What a followed submit has seen so far.
+#[derive(Debug, Default)]
+struct Follow {
+    /// The job being followed, once the daemon has accepted the submit
+    /// (a cache hit has none).
+    job: Option<u64>,
+    /// Consecutive failed attempts; reset whenever the daemon answers.
+    failures: u32,
+    /// Re-sent submits that had to start a new job.
+    resubmits: u32,
+}
+
+impl Follow {
+    /// One connection's worth of a submit: send it, read `submitted`,
+    /// then (with `--wait`) `progress` lines until the `result`.
+    fn attempt(&mut self, args: &SubmitArgs, submit: &Request) -> Result<(), Failure> {
+        let (mut writer, mut lines) = connect(&args.connect).map_err(Failure::Lost)?;
+        send_request(&mut writer, submit).map_err(Failure::Lost)?;
+        let submitted = read_reply_raw(&mut lines)?;
+        self.failures = 0;
+        let id = submitted.doc.get("job").and_then(Json::as_u64);
+        let cache = submitted
+            .doc
+            .get("cache")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown");
+        match (self.job, id) {
+            (None, Some(id)) => eprintln!("xbar submit: job {id} (cache {cache})"),
+            (None, None) => eprintln!("xbar submit: no job (cache {cache})"),
+            (Some(lost), Some(id)) if cache == "miss" => {
+                self.resubmits += 1;
+                if self.resubmits > MAX_RESUBMITS {
+                    return Err(Failure::Final(format!(
+                        "job {lost} was lost again after {MAX_RESUBMITS} resubmit(s)"
+                    )));
                 }
-                let request = Request::Submit {
-                    experiment: experiment.to_owned(),
-                    args: exp_args.to_vec(),
-                    wait: false,
-                };
-                if send_request(&mut writer, &request).is_err() {
-                    continue;
-                }
-                match read_reply_raw(&mut lines) {
-                    Ok(reply) => {
-                        if let Some(new_id) = reply.doc.get("job").and_then(Json::as_u64) {
-                            eprintln!(
-                                "xbar submit: daemon lost job {job}; resubmitted as job {new_id}"
-                            );
-                            job = new_id;
-                            failures = 0;
-                        }
-                    }
-                    Err(ReadError::Daemon(e)) => return Err(e),
-                    Err(ReadError::Io(_)) => {}
-                }
+                eprintln!("xbar submit: daemon lost job {lost}; resubmitted as job {id}");
             }
-            Err(ReadError::Daemon(e)) => return Err(e),
-            Ok(status) => {
-                // The daemon answered: whatever happens next, this was
-                // not a failed attempt.
-                failures = 0;
-                match status.doc.get("state").and_then(Json::as_str) {
-                    Some("done") => {
-                        if send_request(&mut writer, &Request::ResultOf { job }).is_err() {
-                            continue;
-                        }
-                        match read_reply_raw(&mut lines) {
-                            Ok(result) => {
-                                deliver_artifact(&result, args.out.as_ref())?;
-                                eprintln!("xbar submit: result ({})", describe_result(&result));
-                                return Ok(());
-                            }
-                            Err(ReadError::Daemon(e)) => return Err(e),
-                            Err(ReadError::Io(_)) => continue,
-                        }
-                    }
-                    Some(state @ ("failed" | "cancelled")) => {
-                        return Err(format!(
-                            "job {job} {state}: {}",
-                            status
-                                .doc
-                                .get("error")
-                                .and_then(Json::as_str)
-                                .unwrap_or("no details")
-                        ));
-                    }
-                    _ => {
-                        // Throttle to roughly the daemon's own progress
-                        // cadence instead of one line per 250 ms poll.
-                        if polls % 4 == 0 {
-                            print_progress(job, &status);
-                        }
-                        polls = polls.wrapping_add(1);
-                    }
+            (Some(_), _) => {}
+        }
+        self.job = id.or(self.job);
+        if !args.wait {
+            return Ok(());
+        }
+        loop {
+            let reply = read_reply_raw(&mut lines)?;
+            match reply.kind.as_str() {
+                "progress" => {
+                    print_progress(
+                        reply.doc.get("job").and_then(Json::as_u64).unwrap_or(0),
+                        &reply,
+                    );
+                }
+                "result" => {
+                    deliver_artifact(&reply, args.out.as_ref()).map_err(Failure::Final)?;
+                    eprintln!("xbar submit: result ({})", describe_result(&reply));
+                    return Ok(());
+                }
+                other => {
+                    return Err(Failure::Final(format!(
+                        "unexpected {other:?} response while waiting"
+                    )))
                 }
             }
         }

@@ -15,13 +15,28 @@
 //! batch reordering: every sharded job spawns fresh worker processes, so
 //! no prepared cover or function matrix survives from one job to the
 //! next for a reordering to reuse.)
+//!
+//! Only executed jobs get a record, and a record holds no artifact: a
+//! finished job's bytes live in the artifact cache under the record's
+//! [`CacheKey`]. A cache hit is only counted. The table keeps every live
+//! job and the [`MAX_SETTLED`] most recently settled ones; older ids
+//! answer "no such job". Every state change a waiter cares about
+//! notifies the condvar, so [`JobQueue::wait_settled`] blocks on events
+//! rather than polling.
 
+use crate::experiment::{Experiment, Params};
 use crate::launch::HostCount;
+use crate::service::cache::CacheKey;
 use crate::shard::coordinator::RunReport;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// How many settled (done, failed or cancelled) jobs the table
+/// remembers; the oldest is forgotten first. Queued and running jobs are
+/// never forgotten.
+pub const MAX_SETTLED: usize = 1024;
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +45,7 @@ pub enum JobState {
     Queued,
     /// A worker is executing it.
     Running,
-    /// Finished; the artifact is available (and cached).
+    /// Finished; the artifact is in the cache.
     Done,
     /// Execution failed; see the error message.
     Failed,
@@ -89,10 +104,12 @@ impl CacheDisposition {
 pub struct JobSpec {
     /// Job id.
     pub id: u64,
-    /// Registry experiment name.
-    pub experiment: String,
-    /// Experiment argument words.
-    pub args: Vec<String>,
+    /// The registry experiment to run.
+    pub exp: &'static dyn Experiment,
+    /// Its parsed parameters.
+    pub params: Params,
+    /// The cache entry the artifact is stored under.
+    pub key: CacheKey,
 }
 
 /// An observable copy of a job's current state.
@@ -101,15 +118,13 @@ pub struct JobSnapshot {
     /// Job id.
     pub id: u64,
     /// Registry experiment name.
-    pub experiment: String,
+    pub experiment: &'static str,
     /// Lifecycle state.
     pub state: JobState,
-    /// How the submit was answered.
-    pub cache: CacheDisposition,
     /// Failure message, for [`JobState::Failed`] / [`JobState::Cancelled`].
     pub error: Option<String>,
-    /// The finished artifact document.
-    pub artifact: Option<Arc<String>>,
+    /// The cache entry holding the artifact once [`JobState::Done`].
+    pub key: CacheKey,
     /// Run directory, once execution has planned one (lets progress
     /// reporting count shard checkpoints as they land).
     pub run_dir: Option<PathBuf>,
@@ -158,15 +173,9 @@ pub struct QueueStats {
 
 #[derive(Debug)]
 struct JobEntry {
-    id: u64,
-    experiment: String,
-    args: Vec<String>,
-    key_name: String,
-    key_document: String,
+    spec: JobSpec,
     state: JobState,
-    cache: CacheDisposition,
     error: Option<String>,
-    artifact: Option<Arc<String>>,
     run_dir: Option<PathBuf>,
     shards: usize,
     report: Option<RunReport>,
@@ -187,12 +196,11 @@ impl JobEntry {
 
     fn snapshot(&self) -> JobSnapshot {
         JobSnapshot {
-            id: self.id,
-            experiment: self.experiment.clone(),
+            id: self.spec.id,
+            experiment: self.spec.exp.name(),
             state: self.state,
-            cache: self.cache,
             error: self.error.clone(),
-            artifact: self.artifact.clone(),
+            key: self.spec.key.clone(),
             run_dir: self.run_dir.clone(),
             shards: self.shards,
             report: self.report,
@@ -204,21 +212,37 @@ impl JobEntry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    jobs: Vec<JobEntry>,
+    jobs: BTreeMap<u64, JobEntry>,
     /// Queued job ids in arrival order.
     fifo: VecDeque<u64>,
+    /// Settled job ids, oldest first; at most [`MAX_SETTLED`].
+    settled: VecDeque<u64>,
     next_id: u64,
     draining: bool,
     stats: QueueStats,
 }
 
 impl Inner {
-    fn entry(&self, id: u64) -> Option<&JobEntry> {
-        self.jobs.iter().find(|j| j.id == id)
-    }
-
-    fn entry_mut(&mut self, id: u64) -> Option<&mut JobEntry> {
-        self.jobs.iter_mut().find(|j| j.id == id)
+    /// Moves job `id` to a terminal `state`, then forgets the oldest
+    /// settled job past [`MAX_SETTLED`].
+    fn settle(&mut self, id: u64, state: JobState, error: Option<String>) {
+        match state {
+            JobState::Done => self.stats.completed += 1,
+            JobState::Failed => self.stats.failed += 1,
+            JobState::Cancelled => self.stats.cancelled += 1,
+            JobState::Queued | JobState::Running => unreachable!("settle is for terminal states"),
+        }
+        if let Some(entry) = self.jobs.get_mut(&id) {
+            entry.finished_ms = Some(entry.elapsed_ms());
+            entry.state = state;
+            entry.error = error;
+        }
+        self.settled.push_back(id);
+        while self.settled.len() > MAX_SETTLED {
+            if let Some(old) = self.settled.pop_front() {
+                self.jobs.remove(&old);
+            }
+        }
     }
 }
 
@@ -226,7 +250,8 @@ impl Inner {
 #[derive(Debug, Default)]
 pub struct JobQueue {
     inner: Mutex<Inner>,
-    /// Signalled on submit (work available), drain, and job completion.
+    /// Signalled on submit (work available), drain, and every move to a
+    /// settled state.
     cond: Condvar,
 }
 
@@ -237,83 +262,70 @@ impl JobQueue {
         Self::default()
     }
 
-    /// Enqueues a job (or coalesces onto an identical live one). The key
-    /// pair identifies the artifact the job will produce.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("queue lock")
+    }
+
+    /// Enqueues a job (or coalesces onto an identical live one); `key`
+    /// identifies the artifact the job will produce. `None` once the
+    /// queue is draining: a shutting-down daemon takes no new work.
     pub fn submit(
         &self,
-        experiment: &str,
-        args: Vec<String>,
-        key_name: &str,
-        key_document: &str,
-    ) -> (u64, CacheDisposition) {
-        let mut inner = self.inner.lock().expect("queue lock");
+        exp: &'static dyn Experiment,
+        params: Params,
+        key: CacheKey,
+    ) -> Option<(u64, CacheDisposition)> {
+        let mut inner = self.lock();
+        if inner.draining {
+            return None;
+        }
         inner.stats.submitted += 1;
         // Coalesce: an identical request already queued or running will
-        // produce this exact artifact; join it. (Both halves of the key
-        // must match — the hash alone could collide.)
-        if let Some(live) = inner.jobs.iter().find(|j| {
-            j.key_name == key_name
-                && j.key_document == key_document
-                && matches!(j.state, JobState::Queued | JobState::Running)
-        }) {
-            let id = live.id;
+        // produce this exact artifact; join it. (The whole key must match
+        // — the hash alone could collide.)
+        if let Some(live) = inner
+            .jobs
+            .values()
+            .find(|j| j.spec.key == key && matches!(j.state, JobState::Queued | JobState::Running))
+        {
+            let id = live.spec.id;
             inner.stats.coalesced += 1;
-            return (id, CacheDisposition::Coalesced);
+            return Some((id, CacheDisposition::Coalesced));
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.jobs.push(JobEntry {
+        inner.jobs.insert(
             id,
-            experiment: experiment.to_owned(),
-            args,
-            key_name: key_name.to_owned(),
-            key_document: key_document.to_owned(),
-            state: JobState::Queued,
-            cache: CacheDisposition::Miss,
-            error: None,
-            artifact: None,
-            run_dir: None,
-            shards: 0,
-            report: None,
-            hosts: Vec::new(),
-            submitted_at: Instant::now(),
-            started_at: None,
-            finished_ms: None,
-        });
+            JobEntry {
+                spec: JobSpec {
+                    id,
+                    exp,
+                    params,
+                    key,
+                },
+                state: JobState::Queued,
+                error: None,
+                run_dir: None,
+                shards: 0,
+                report: None,
+                hosts: Vec::new(),
+                submitted_at: Instant::now(),
+                started_at: None,
+                finished_ms: None,
+            },
+        );
         inner.fifo.push_back(id);
         inner.stats.queued = inner.fifo.len();
         self.cond.notify_all();
-        (id, CacheDisposition::Miss)
+        Some((id, CacheDisposition::Miss))
     }
 
-    /// Records a submit answered straight from the artifact cache: the
-    /// job is born [`JobState::Done`] with the cached artifact attached,
-    /// so `status`/`result` work uniformly for it.
-    pub fn record_cache_hit(&self, experiment: &str, artifact: Arc<String>) -> u64 {
-        let mut inner = self.inner.lock().expect("queue lock");
+    /// Counts a submit answered from the artifact cache. A hit runs
+    /// nothing, so it gets no job record.
+    pub fn count_cache_hit(&self) {
+        let mut inner = self.lock();
         inner.stats.submitted += 1;
         inner.stats.cache_hits += 1;
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.jobs.push(JobEntry {
-            id,
-            experiment: experiment.to_owned(),
-            args: Vec::new(),
-            key_name: String::new(),
-            key_document: String::new(),
-            state: JobState::Done,
-            cache: CacheDisposition::Hit,
-            error: None,
-            artifact: Some(artifact),
-            run_dir: None,
-            shards: 0,
-            report: None,
-            hosts: Vec::new(),
-            submitted_at: Instant::now(),
-            started_at: None,
-            finished_ms: Some(0),
-        });
-        id
     }
 
     /// Blocks until a job is available (returning the oldest queued
@@ -322,10 +334,17 @@ impl JobQueue {
     /// exit).
     #[must_use]
     pub fn next_job(&self) -> Option<JobSpec> {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = self.lock();
         loop {
-            if let Some(id) = inner.fifo.front().copied() {
-                return Some(self.claim(&mut inner, id));
+            if let Some(id) = inner.fifo.pop_front() {
+                inner.stats.queued = inner.fifo.len();
+                inner.stats.running += 1;
+                inner.stats.max_running_observed =
+                    inner.stats.max_running_observed.max(inner.stats.running);
+                let entry = inner.jobs.get_mut(&id).expect("queued job exists");
+                entry.state = JobState::Running;
+                entry.started_at = Some(Instant::now());
+                return Some(entry.spec.clone());
             }
             if inner.draining {
                 return None;
@@ -334,79 +353,40 @@ impl JobQueue {
         }
     }
 
-    fn claim(&self, inner: &mut Inner, id: u64) -> JobSpec {
-        inner.fifo.retain(|&q| q != id);
-        inner.stats.queued = inner.fifo.len();
-        inner.stats.running += 1;
-        inner.stats.max_running_observed =
-            inner.stats.max_running_observed.max(inner.stats.running);
-        let entry = inner.entry_mut(id).expect("queued job exists");
-        entry.state = JobState::Running;
-        entry.started_at = Some(Instant::now());
-        JobSpec {
-            id,
-            experiment: entry.experiment.clone(),
-            args: entry.args.clone(),
-        }
-    }
-
     /// Records the run directory and shard count of a running
     /// job, so progress reporting can count checkpoints on disk.
     pub fn set_run_dir(&self, id: u64, run_dir: PathBuf, shards: usize) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if let Some(entry) = inner.entry_mut(id) {
+        if let Some(entry) = self.lock().jobs.get_mut(&id) {
             entry.run_dir = Some(run_dir);
             entry.shards = shards;
         }
     }
 
-    /// Completes a running job with its artifact (and the runner's report
-    /// plus per-host attribution, when it ran sharded).
-    pub fn finish(
-        &self,
-        id: u64,
-        artifact: Arc<String>,
-        report: Option<RunReport>,
-        hosts: Vec<HostCount>,
-    ) {
-        self.conclude(id, JobState::Done, Some(artifact), None, report, hosts);
-    }
-
-    /// Fails a running job.
-    pub fn fail(&self, id: u64, error: String) {
-        self.conclude(id, JobState::Failed, None, Some(error), None, Vec::new());
-    }
-
-    fn conclude(
-        &self,
-        id: u64,
-        state: JobState,
-        artifact: Option<Arc<String>>,
-        error: Option<String>,
-        report: Option<RunReport>,
-        hosts: Vec<HostCount>,
-    ) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        match state {
-            JobState::Done => inner.stats.completed += 1,
-            JobState::Failed => inner.stats.failed += 1,
-            _ => unreachable!("conclude is for terminal execution states"),
-        }
-        inner.stats.running = inner.stats.running.saturating_sub(1);
+    /// Completes a running job whose artifact is already in the cache
+    /// (with the runner's report plus per-host attribution, when it ran
+    /// sharded).
+    pub fn finish(&self, id: u64, report: Option<RunReport>, hosts: Vec<HostCount>) {
+        let mut inner = self.lock();
         if let Some(report) = &report {
             inner.stats.shard_spawned += report.spawned as u64;
             inner.stats.shard_reused += report.reused as u64;
             inner.stats.shard_retries += report.retries as u64;
             inner.stats.shard_timeouts += report.timeouts as u64;
         }
-        if let Some(entry) = inner.entry_mut(id) {
-            entry.finished_ms = Some(entry.elapsed_ms());
-            entry.state = state;
-            entry.artifact = artifact;
-            entry.error = error;
+        if let Some(entry) = inner.jobs.get_mut(&id) {
             entry.report = report;
             entry.hosts = hosts;
         }
+        inner.stats.running = inner.stats.running.saturating_sub(1);
+        inner.settle(id, JobState::Done, None);
+        self.cond.notify_all();
+    }
+
+    /// Fails a running job.
+    pub fn fail(&self, id: u64, error: String) {
+        let mut inner = self.lock();
+        inner.stats.running = inner.stats.running.saturating_sub(1);
+        inner.settle(id, JobState::Failed, Some(error));
         self.cond.notify_all();
     }
 
@@ -415,11 +395,13 @@ impl JobQueue {
     ///
     /// # Errors
     ///
-    /// Reports an unknown id or a job not in the queued state.
+    /// Reports an unknown (or forgotten) id or a job not in the queued
+    /// state.
     pub fn cancel(&self, id: u64) -> Result<(), String> {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = self.lock();
         let state = inner
-            .entry(id)
+            .jobs
+            .get(&id)
             .map(|j| j.state)
             .ok_or_else(|| format!("no such job {id}"))?;
         if state != JobState::Queued {
@@ -427,49 +409,72 @@ impl JobQueue {
         }
         inner.fifo.retain(|&q| q != id);
         inner.stats.queued = inner.fifo.len();
-        inner.stats.cancelled += 1;
-        let entry = inner.entry_mut(id).expect("checked above");
-        entry.state = JobState::Cancelled;
-        entry.error = Some("cancelled".to_owned());
-        entry.finished_ms = Some(entry.elapsed_ms());
+        inner.settle(id, JobState::Cancelled, Some("cancelled".to_owned()));
+        self.cond.notify_all();
         Ok(())
     }
 
-    /// A copy of a job's current state.
+    /// A copy of a job's current state; `None` for an unknown or
+    /// forgotten id.
     #[must_use]
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
-        let inner = self.inner.lock().expect("queue lock");
-        inner.entry(id).map(JobEntry::snapshot)
+        self.lock().jobs.get(&id).map(JobEntry::snapshot)
+    }
+
+    /// Blocks until job `id` settles or `timeout` passes, whichever comes
+    /// first, and returns its state then; `None` for an unknown or
+    /// forgotten id.
+    #[must_use]
+    pub fn wait_settled(&self, id: u64, timeout: Duration) -> Option<JobSnapshot> {
+        let (inner, _) = self
+            .cond
+            .wait_timeout_while(self.lock(), timeout, |inner| {
+                inner.jobs.get(&id).is_some_and(|j| !j.state.is_terminal())
+            })
+            .expect("queue lock");
+        inner.jobs.get(&id).map(JobEntry::snapshot)
     }
 
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
-        self.inner.lock().expect("queue lock").stats
+        self.lock().stats
     }
 
     /// Starts draining: queued jobs are cancelled (marked with `reason`),
-    /// running jobs keep their slots until they finish, and worker
-    /// threads observe `None` from [`JobQueue::next_job`] once idle.
+    /// running jobs keep their slots until they finish, new submits are
+    /// refused, and worker threads observe `None` from
+    /// [`JobQueue::next_job`] once idle.
     pub fn drain(&self, reason: &str) {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = self.lock();
         inner.draining = true;
         while let Some(id) = inner.fifo.pop_front() {
-            inner.stats.cancelled += 1;
-            if let Some(entry) = inner.entry_mut(id) {
-                entry.state = JobState::Cancelled;
-                entry.error = Some(reason.to_owned());
-                entry.finished_ms = Some(entry.elapsed_ms());
-            }
+            inner.settle(id, JobState::Cancelled, Some(reason.to_owned()));
         }
         inner.stats.queued = 0;
         self.cond.notify_all();
     }
 
+    /// True once [`JobQueue::drain`] has been called.
+    #[must_use]
+    pub fn is_draining(&self) -> bool {
+        self.lock().draining
+    }
+
+    /// Blocks until the queue is draining or `timeout` passes; returns
+    /// [`JobQueue::is_draining`].
+    pub fn wait_draining(&self, timeout: Duration) -> bool {
+        let (inner, _) = self
+            .cond
+            .wait_timeout_while(self.lock(), timeout, |inner| !inner.draining)
+            .expect("queue lock");
+        inner.draining
+    }
+
     /// Blocks until no job is running (used after [`JobQueue::drain`] to
     /// let inflight work complete before the daemon exits).
     pub fn wait_idle(&self) {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = self.lock();
         while inner.stats.running > 0 {
             inner = self.cond.wait(inner).expect("queue lock");
         }
@@ -479,10 +484,23 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::experiment::find_experiment;
+    use std::sync::Arc;
+
+    /// Submits a `table2` job whose cache key is `tag`.
+    fn submit_tagged(queue: &JobQueue, tag: &str) -> (u64, CacheDisposition) {
+        let exp = find_experiment("table2").expect("registered");
+        let params = Params::parse(exp.extra_params(), Vec::new()).expect("defaults parse");
+        let key = CacheKey {
+            experiment: exp.name().to_owned(),
+            document: tag.to_owned(),
+            name: tag.to_owned(),
+        };
+        queue.submit(exp, params, key).expect("not draining")
+    }
 
     fn submit_simple(queue: &JobQueue, tag: &str) -> u64 {
-        let (id, cache) = queue.submit("table2", vec![], tag, tag);
+        let (id, cache) = submit_tagged(queue, tag);
         assert_eq!(cache, CacheDisposition::Miss);
         id
     }
@@ -500,17 +518,17 @@ mod tests {
     fn identical_live_requests_coalesce_and_settle_together() {
         let queue = JobQueue::new();
         let id = submit_simple(&queue, "k");
-        let (joined, cache) = queue.submit("table2", vec![], "k", "k");
+        let (joined, cache) = submit_tagged(&queue, "k");
         assert_eq!(joined, id);
         assert_eq!(cache, CacheDisposition::Coalesced);
         // Still coalesces while running.
         let spec = queue.next_job().expect("job");
-        let (joined, _) = queue.submit("table2", vec![], "k", "k");
+        let (joined, _) = submit_tagged(&queue, "k");
         assert_eq!(joined, id);
         // After completion a new identical submit is a fresh job (the
         // cache layer will answer it before it reaches the queue).
-        queue.finish(spec.id, Arc::new("artifact".to_owned()), None, Vec::new());
-        let (fresh, cache) = queue.submit("table2", vec![], "k", "k");
+        queue.finish(spec.id, None, Vec::new());
+        let (fresh, cache) = submit_tagged(&queue, "k");
         assert_ne!(fresh, id);
         assert_eq!(cache, CacheDisposition::Miss);
         let stats = queue.stats();
@@ -553,7 +571,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(30));
         assert!(!waiter.is_finished(), "still one running job");
-        queue.finish(running, Arc::new("a".to_owned()), None, Vec::new());
+        queue.finish(running, None, Vec::new());
         waiter.join().expect("wait_idle returns");
     }
 
@@ -593,7 +611,7 @@ mod tests {
             completed: 3,
             ..HostCount::default()
         }];
-        queue.finish(s1.id, Arc::new("x".to_owned()), Some(report), hosts);
+        queue.finish(s1.id, Some(report), hosts);
         queue.fail(s2.id, "boom".to_owned());
         let stats = queue.stats();
         assert_eq!(stats.running, 0);
@@ -614,16 +632,53 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_jobs_are_born_done() {
+    fn the_table_keeps_the_newest_settled_jobs_and_every_live_one() {
         let queue = JobQueue::new();
-        let id = queue.record_cache_hit("table2", Arc::new("cached\n".to_owned()));
-        let snap = queue.snapshot(id).unwrap();
-        assert_eq!(snap.state, JobState::Done);
-        assert_eq!(snap.cache, CacheDisposition::Hit);
+        let settled: Vec<u64> = (0..1100)
+            .map(|i| submit_simple(&queue, &format!("s{i}")))
+            .collect();
+        for _ in &settled {
+            let _ = queue.next_job().expect("job");
+        }
+        // Submitted after every other job was claimed, so it stays queued
+        // while all 1,100 settle.
+        let queued = submit_simple(&queue, "stays-queued");
+        for &id in &settled {
+            queue.finish(id, None, Vec::new());
+        }
+        let (forgotten, kept) = settled.split_at(settled.len() - MAX_SETTLED);
+        assert_eq!(forgotten[0], 0);
+        assert!(forgotten.iter().all(|&id| queue.snapshot(id).is_none()));
+        assert!(kept.iter().all(|&id| queue.snapshot(id).is_some()));
+        assert_eq!(queue.snapshot(queued).unwrap().state, JobState::Queued);
+        let err = queue.cancel(0).expect_err("job 0 is forgotten");
+        assert_eq!(err, "no such job 0");
+        assert_eq!(queue.stats().completed, 1100);
+    }
+
+    #[test]
+    fn a_waiter_wakes_when_its_job_settles_and_times_out_otherwise() {
+        let queue = Arc::new(JobQueue::new());
+        let id = submit_simple(&queue, "w");
+        let snap = queue.wait_settled(id, Duration::from_millis(20));
         assert_eq!(
-            snap.artifact.as_deref().map(String::as_str),
-            Some("cached\n")
+            snap.unwrap().state,
+            JobState::Queued,
+            "timed out, still queued"
         );
-        assert_eq!(queue.stats().cache_hits, 1);
+        let waiter = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.wait_settled(id, Duration::from_secs(60)))
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        let started = Instant::now();
+        queue.cancel(id).expect("queued job cancels");
+        let snap = waiter.join().expect("waiter returns").expect("job known");
+        assert_eq!(snap.state, JobState::Cancelled);
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "a cancel must wake the waiter"
+        );
+        assert!(queue.wait_settled(999, Duration::ZERO).is_none());
     }
 }

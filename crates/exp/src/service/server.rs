@@ -1,10 +1,12 @@
 //! The `xbar serve` daemon: accept loop, worker pool, and job execution.
 //!
-//! Architecture: one nonblocking accept thread spawns a thread per
-//! connection (requests are line-oriented and short-lived; a waiting
-//! `submit` ties its connection up only with sleeps, not CPU), and a
-//! fixed pool of `--max-inflight` worker threads pulls jobs from the
-//! shared [`JobQueue`] — the pool size *is* the concurrency bound.
+//! Architecture: one accept thread blocks in `accept()` and spawns a
+//! thread per connection (requests are line-oriented and short-lived; a
+//! waiting `submit` blocks its thread on the queue's condvar, not on a
+//! timer), and a fixed pool of `--max-inflight` worker threads pulls jobs
+//! from the shared [`JobQueue`] — the pool size *is* the concurrency
+//! bound. Shutdown drains the queue and wakes the blocked `accept()` with
+//! one loopback connect.
 //!
 //! Execution reuses the existing machinery end to end. `table2` (the
 //! flagship Monte Carlo workload) runs through the campaign runner
@@ -18,16 +20,20 @@
 //! experiment (and everything when `--in-process-jobs` is set) runs
 //! in-process through [`Experiment::run`], which is the `xbar run` code
 //! path itself. Either way the rendered artifact lands in the
-//! [`ArtifactCache`] before the job is reported done.
+//! [`ArtifactCache`] before the job is reported done, and the cache is
+//! the only place it is kept: `result` replies read it from there. A
+//! cache hit is answered from the bytes the lookup returned and creates
+//! no job.
 //!
 //! Failure semantics: a daemon killed mid-job (SIGKILL, SIGTERM, power)
 //! leaves shard checkpoints and a reclaimable `coordinator.lock` in the
 //! job's run directory; restarting the daemon on the same `--work-dir`
 //! and resubmitting resumes from those checkpoints. A client that
 //! disconnects mid-wait detaches from the job, which keeps running and
-//! caches its artifact — resubmitting later is a cache hit. A request
-//! line over 256 KiB gets one `error` reply and the connection closes.
-//! Its flags are one `FrontEnd` table, like every `xbar` front-end's.
+//! caches its artifact — resubmitting coalesces onto it while it runs and
+//! hits the cache once it is done. A request line over 256 KiB gets one
+//! `error` reply and the connection closes. Its flags are one `FrontEnd`
+//! table, like every `xbar` front-end's.
 
 use crate::experiment::{
     find_experiment, spec, usage_err, Experiment, Flags, FrontEnd, ParamKind, ParamSpec, Params,
@@ -39,30 +45,25 @@ use crate::launch::{
     parse_hosts, run_launch_with_report, with_faults, FaultPlan, HostCount, HostSpec, LaunchConfig,
     LocalProc,
 };
-use crate::service::cache::{cache_key, ArtifactCache, CacheKey};
+use crate::service::cache::{cache_key, ArtifactCache};
 use crate::service::protocol::{error_line, response, Request};
-use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
+use crate::service::queue::{CacheDisposition, JobQueue, JobSnapshot, JobSpec, JobState};
 use crate::shard::coordinator::{campaign_run_dir, default_worker, RunReport, Worker};
 use crate::shard::json::Json;
 use crate::shard::McConfig;
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls for the shutdown flag. This is also
-/// the worst-case latency before a new connection is accepted — a cache
-/// hit's whole response time is dominated by it — so it is kept small;
-/// 200 idle wakeups/s cost nothing measurable.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// How often a waiting connection polls its job.
-const WAIT_POLL: Duration = Duration::from_millis(100);
-/// Progress event cadence, in wait-poll ticks (~every 500 ms).
-const PROGRESS_EVERY: u32 = 5;
+/// How often a waiting `submit` reports `progress` while its job runs.
+const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
+/// How long the accept thread backs off after a failed `accept()` (e.g.
+/// out of file descriptors), so a persistent error cannot spin it.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 /// The longest request line the daemon reads, newline included. A submit
 /// line is a few hundred bytes; the bound stops a peer that never sends a
 /// newline from growing the daemon's memory until it disconnects.
@@ -126,11 +127,33 @@ impl Default for ServeOptions {
 #[derive(Debug)]
 struct ServiceState {
     options: ServeOptions,
+    /// The bound listen address (shutdown connects to it to wake the
+    /// accept thread).
+    addr: SocketAddr,
     queue: JobQueue,
     cache: ArtifactCache,
     jobs_dir: PathBuf,
     started: Instant,
-    shutdown: AtomicBool,
+}
+
+impl ServiceState {
+    /// Stops taking work: drains the queue (queued jobs are cancelled,
+    /// running ones finish), then wakes the accept thread, blocked in
+    /// `accept()`, with one loopback connect so it sees the drain and
+    /// exits. An unspecified listen address (`0.0.0.0`, `::`) is reached
+    /// through its family's loopback.
+    fn shut_down(&self) {
+        self.queue.drain("service shutting down");
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect(wake);
+    }
 }
 
 /// A running service: bound address plus the handles needed to wait for
@@ -138,7 +161,6 @@ struct ServiceState {
 /// daemon (threads are detached from the handle's lifetime until joined).
 #[derive(Debug)]
 pub struct ServiceHandle {
-    addr: SocketAddr,
     state: Arc<ServiceState>,
     workers: Vec<JoinHandle<()>>,
     acceptor: JoinHandle<()>,
@@ -148,26 +170,24 @@ impl ServiceHandle {
     /// The bound listen address (resolves `--listen 127.0.0.1:0`).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Blocks until a `shutdown` request arrives, then drains: running
     /// jobs finish (their artifacts land in the cache), queued jobs are
     /// cancelled, worker threads and the accept loop exit.
     pub fn wait(self) {
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(ACCEPT_POLL);
-        }
         self.join_after_shutdown();
     }
 
     /// Requests shutdown (as if a `shutdown` message arrived) and drains.
     pub fn shutdown_and_wait(self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.drain("service shutting down");
+        self.state.shut_down();
         self.join_after_shutdown();
     }
 
+    /// Joins the workers (they exit once the queue drains and their jobs
+    /// finish) and the accept thread (it exits on the shutdown wake-up).
     fn join_after_shutdown(self) {
         for worker in self.workers {
             let _ = worker.join();
@@ -202,17 +222,14 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set listener nonblocking: {e}"))?;
 
     let state = Arc::new(ServiceState {
         options,
+        addr,
         queue: JobQueue::new(),
         cache,
         jobs_dir,
         started: Instant::now(),
-        shutdown: AtomicBool::new(false),
     });
 
     let workers = (0..state.options.max_inflight)
@@ -226,7 +243,6 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
         std::thread::spawn(move || accept_loop(&state, &listener))
     };
     Ok(ServiceHandle {
-        addr,
         state,
         workers,
         acceptor,
@@ -234,21 +250,19 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
 }
 
 fn accept_loop(state: &Arc<ServiceState>, listener: &TcpListener) {
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
+    for stream in listener.incoming() {
+        // The connection that wakes a draining daemon is not served.
+        if state.queue.is_draining() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match stream {
+            Ok(stream) => {
                 let state = Arc::clone(state);
                 std::thread::spawn(move || handle_connection(&state, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             Err(e) => {
                 eprintln!("xbar serve: accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
+                state.queue.wait_draining(ACCEPT_RETRY);
             }
         }
     }
@@ -333,17 +347,13 @@ fn handle_request(state: &Arc<ServiceState>, writer: &mut TcpStream, request: Re
         } => handle_submit(state, writer, &experiment, args, wait),
         Request::Status { job } => {
             let line = match state.queue.snapshot(job) {
-                None => error_line(&format!("no such job {job}")),
+                None => no_such_job(job),
                 Some(snap) => response("status", status_fields(&snap)),
             };
             send(writer, &line)
         }
         Request::ResultOf { job } => {
-            let line = match state.queue.snapshot(job) {
-                None => error_line(&format!("no such job {job}")),
-                Some(snap) => result_or_error_line(&snap),
-            };
-            send(writer, &line)
+            send(writer, &result_line(state, job, state.queue.snapshot(job)))
         }
         Request::Cancel { job } => {
             let line = match state.queue.cancel(job) {
@@ -354,8 +364,7 @@ fn handle_request(state: &Arc<ServiceState>, writer: &mut TcpStream, request: Re
         }
         Request::Stats => send(writer, &stats_line(state)),
         Request::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue.drain("service shutting down");
+            state.shut_down();
             send(writer, &response("ok", Vec::new()))
         }
     }
@@ -390,98 +399,66 @@ fn handle_submit(
             )),
         );
     }
-    let params = match Params::parse(exp.extra_params(), args.iter().cloned()) {
+    let params = match Params::parse(exp.extra_params(), args) {
         Ok(params) => params,
         Err(e) => return send(writer, &error_line(&format!("bad parameters: {e}"))),
     };
     let key = cache_key(exp, &params);
 
+    // A hit is answered from the bytes just read; it runs nothing and so
+    // gets no job.
     if let Some(artifact) = state.cache.lookup(&key) {
-        let artifact = Arc::new(artifact);
-        let id = state
-            .queue
-            .record_cache_hit(exp.name(), Arc::clone(&artifact));
-        let submitted = response(
-            "submitted",
-            vec![
-                ("job", Json::u64(id)),
-                ("cache", Json::str("hit")),
-                ("state", Json::str("done")),
-            ],
-        );
-        if !send(writer, &submitted) {
-            return false;
-        }
-        if wait {
-            let snap = state.queue.snapshot(id).expect("job just recorded");
-            return send(writer, &result_or_error_line(&snap));
-        }
-        return true;
+        state.queue.count_cache_hit();
+        let hit = || ("cache", Json::str(CacheDisposition::Hit.as_str()));
+        let submitted = response("submitted", vec![hit(), ("state", Json::str("done"))]);
+        let result = response("result", vec![hit(), ("artifact", Json::str(artifact))]);
+        return send(writer, &submitted) && (!wait || send(writer, &result));
     }
 
-    if state.shutdown.load(Ordering::SeqCst) {
+    let Some((id, disposition)) = state.queue.submit(exp, params, key) else {
         return send(writer, &error_line("service is shutting down"));
-    }
-    let (id, disposition) = state
+    };
+    let job_state = state
         .queue
-        .submit(exp.name(), args, &key.name, &key.document);
+        .snapshot(id)
+        .map_or(JobState::Queued, |s| s.state);
     let submitted = response(
         "submitted",
         vec![
             ("job", Json::u64(id)),
             ("cache", Json::str(disposition.as_str())),
-            (
-                "state",
-                Json::str(
-                    state
-                        .queue
-                        .snapshot(id)
-                        .map_or("queued", |s| s.state.as_str()),
-                ),
-            ),
+            ("state", Json::str(job_state.as_str())),
         ],
     );
-    if !send(writer, &submitted) {
-        return false;
-    }
-    if wait {
-        return stream_until_settled(state, writer, id);
-    }
-    true
+    send(writer, &submitted) && (!wait || stream_until_settled(state, writer, id))
 }
 
-/// Polls a job until it settles, streaming periodic `progress` events and
-/// the final `result`/`error` line. Progress counts the shard partials
-/// already checkpointed in the job's run directory — the same
-/// numbers [`RunReport`] summarizes at the end.
+/// Follows a job until it settles: a `progress` event every
+/// [`PROGRESS_INTERVAL`] while it is live (blocking on the queue in
+/// between, so the final line goes out the moment the job settles), then
+/// the `result`/`error` line. Progress counts the shard partials already
+/// checkpointed in the job's run directory — the same numbers
+/// [`RunReport`] summarizes at the end.
 fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u64) -> bool {
-    let mut tick: u32 = 0;
-    loop {
-        let Some(snap) = state.queue.snapshot(id) else {
-            return send(writer, &error_line(&format!("job {id} vanished")));
-        };
-        if snap.state.is_terminal() {
-            return send(writer, &result_or_error_line(&snap));
+    let mut snap = state.queue.snapshot(id);
+    while let Some(live) = snap.as_ref().filter(|s| !s.state.is_terminal()) {
+        let (done, total) = shard_progress(live);
+        let progress = response(
+            "progress",
+            vec![
+                ("job", Json::u64(id)),
+                ("state", Json::str(live.state.as_str())),
+                ("shards_done", Json::usize(done)),
+                ("shards", Json::usize(total)),
+                ("elapsed_ms", Json::u64(live.elapsed_ms)),
+            ],
+        );
+        if !send(writer, &progress) {
+            return false; // client gone; the job keeps running
         }
-        if tick % PROGRESS_EVERY == 0 {
-            let (done, total) = shard_progress(&snap);
-            let progress = response(
-                "progress",
-                vec![
-                    ("job", Json::u64(id)),
-                    ("state", Json::str(snap.state.as_str())),
-                    ("shards_done", Json::usize(done)),
-                    ("shards", Json::usize(total)),
-                    ("elapsed_ms", Json::u64(snap.elapsed_ms)),
-                ],
-            );
-            if !send(writer, &progress) {
-                return false; // client gone; the job keeps running
-            }
-        }
-        tick = tick.wrapping_add(1);
-        std::thread::sleep(WAIT_POLL);
+        snap = state.queue.wait_settled(id, PROGRESS_INTERVAL);
     }
+    send(writer, &result_line(state, id, snap))
 }
 
 /// Counts checkpointed shard partials for a running sharded job.
@@ -502,29 +479,44 @@ fn shard_progress(snap: &JobSnapshot) -> (usize, usize) {
     (done, snap.shards)
 }
 
-/// The final line for a settled job: `result` with the artifact (plus the
-/// runner counters and host attribution when it ran sharded), or `error`.
-fn result_or_error_line(snap: &JobSnapshot) -> String {
+fn no_such_job(id: u64) -> String {
+    error_line(&format!("no such job {id}"))
+}
+
+/// Every job record is an executed job: a hit creates none and a
+/// coalesced submit joins an existing one.
+fn job_cache_field() -> (&'static str, Json) {
+    ("cache", Json::str(CacheDisposition::Miss.as_str()))
+}
+
+/// The `result` reply for job `id`: the artifact, read from the cache
+/// (plus the runner counters and host attribution when it ran sharded),
+/// or an `error` line when the job is unknown, not done, or its cache
+/// entry is gone.
+fn result_line(state: &ServiceState, id: u64, snap: Option<JobSnapshot>) -> String {
+    let Some(snap) = snap else {
+        return no_such_job(id);
+    };
     match snap.state {
-        JobState::Done => {
-            let artifact = snap.artifact.as_deref().map_or("", String::as_str);
-            let mut fields = vec![
-                ("job", Json::u64(snap.id)),
-                ("cache", Json::str(snap.cache.as_str())),
-            ];
-            fields.extend(runner_fields(snap));
-            fields.push(("artifact", Json::str(artifact)));
-            response("result", fields)
-        }
+        JobState::Done => match state.cache.lookup(&snap.key) {
+            Some(artifact) => {
+                let mut fields = vec![("job", Json::u64(id)), job_cache_field()];
+                fields.extend(runner_fields(&snap));
+                fields.push(("artifact", Json::str(artifact)));
+                response("result", fields)
+            }
+            None => error_line(&format!(
+                "job {id} is done but its artifact {} is no longer in the cache",
+                snap.key.name
+            )),
+        },
         JobState::Failed | JobState::Cancelled => error_line(&format!(
-            "job {} {}: {}",
-            snap.id,
+            "job {id} {}: {}",
             snap.state.as_str(),
             snap.error.as_deref().unwrap_or("no details")
         )),
         JobState::Queued | JobState::Running => error_line(&format!(
-            "job {} is still {} (use status, or submit with wait)",
-            snap.id,
+            "job {id} is still {} (use status, or submit with wait)",
             snap.state.as_str()
         )),
     }
@@ -534,9 +526,9 @@ fn status_fields(snap: &JobSnapshot) -> Vec<(&'static str, Json)> {
     let (done, total) = shard_progress(snap);
     let mut fields = vec![
         ("job", Json::u64(snap.id)),
-        ("experiment", Json::str(snap.experiment.clone())),
+        ("experiment", Json::str(snap.experiment)),
         ("state", Json::str(snap.state.as_str())),
-        ("cache", Json::str(snap.cache.as_str())),
+        job_cache_field(),
         ("shards_done", Json::usize(done)),
         ("shards", Json::usize(total)),
         ("elapsed_ms", Json::u64(snap.elapsed_ms)),
@@ -607,29 +599,16 @@ fn stats_line(state: &Arc<ServiceState>) -> String {
 
 fn execute_job(state: &Arc<ServiceState>, spec: &JobSpec) {
     match run_job(state, spec) {
-        Ok((artifact, report, hosts)) => {
-            state
-                .queue
-                .finish(spec.id, Arc::new(artifact), report, hosts);
-        }
+        Ok((report, hosts)) => state.queue.finish(spec.id, report, hosts),
         Err(e) => state.queue.fail(spec.id, e),
     }
 }
 
+/// Runs a job and stores its artifact in the cache.
 fn run_job(
     state: &Arc<ServiceState>,
     spec: &JobSpec,
-) -> Result<(String, Option<RunReport>, Vec<HostCount>), String> {
-    let exp = find_experiment(&spec.experiment).ok_or_else(|| {
-        format!(
-            "experiment {:?} vanished from the registry",
-            spec.experiment
-        )
-    })?;
-    let params = Params::parse(exp.extra_params(), spec.args.iter().cloned())
-        .map_err(|e| format!("bad parameters: {e}"))?;
-    let key = cache_key(exp, &params);
-
+) -> Result<(Option<RunReport>, Vec<HostCount>), String> {
     // `table2` runs sharded through the campaign runner over the job
     // fleet (checkpoints, retry, resume) unless the daemon was told to
     // stay in-process. Every other experiment runs through the registry
@@ -637,26 +616,26 @@ fn run_job(
     // byte-identical by construction. A missing worker binary degrades to
     // in-process too, so a daemon started from an unusual location still
     // serves.
-    let sharded = !state.options.in_process_jobs && spec.experiment == "table2";
+    let sharded = !state.options.in_process_jobs && spec.exp.name() == "table2";
     let (artifact, report, hosts) = if sharded {
         match default_worker() {
-            Ok(worker) => run_sharded_table2(state, spec.id, exp, &params, &key, worker)?,
+            Ok(worker) => run_sharded_table2(state, spec, worker)?,
             Err(e) => {
                 eprintln!(
                     "xbar serve: no shard worker ({e}); running job {} in-process",
                     spec.id
                 );
-                (run_in_process(exp, &params)?, None, Vec::new())
+                (run_in_process(spec.exp, &spec.params)?, None, Vec::new())
             }
         }
     } else {
-        (run_in_process(exp, &params)?, None, Vec::new())
+        (run_in_process(spec.exp, &spec.params)?, None, Vec::new())
     };
 
     // Cache before reporting done: once a client can observe "done", a
-    // repeated submit must hit.
-    state.cache.store(&key, &artifact)?;
-    Ok((artifact, report, hosts))
+    // repeated submit must hit, and `result` reads the artifact from here.
+    state.cache.store(&spec.key, &artifact)?;
+    Ok((report, hosts))
 }
 
 fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, String> {
@@ -676,14 +655,11 @@ fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, Strin
 /// restarting from sample zero.
 fn run_sharded_table2(
     state: &Arc<ServiceState>,
-    id: u64,
-    exp: &dyn Experiment,
-    params: &Params,
-    key: &CacheKey,
+    spec: &JobSpec,
     worker: Worker,
 ) -> Result<(String, Option<RunReport>, Vec<HostCount>), String> {
-    let config = McConfig::from_params(params).map_err(|e| e.to_string())?;
-    let job_dir = state.jobs_dir.join(&key.name);
+    let config = McConfig::from_params(&spec.params).map_err(|e| e.to_string())?;
+    let job_dir = state.jobs_dir.join(&spec.key.name);
     let mut cfg = LaunchConfig::new(
         config,
         state.options.job_shards,
@@ -696,13 +672,14 @@ fn run_sharded_table2(
     cfg.shard_timeout = state.options.shard_timeout;
     cfg.resume = true;
     state.queue.set_run_dir(
-        id,
+        spec.id,
         campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards),
         cfg.shards,
     );
     let transport = with_faults(Box::new(LocalProc), &state.options.launcher_faults);
     let (merged, report) = run_launch_with_report(&cfg, transport.as_ref())?;
-    let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
+    let artifact =
+        table2_artifact_from_accums(&merged.circuits, cfg.config.seed, spec.exp, &spec.params)?;
 
     // The checkpoints have served their purpose once the artifact exists;
     // the caller caches it before reporting done, and the cache — not the

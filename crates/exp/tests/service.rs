@@ -628,3 +628,156 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&work_dir);
 }
+
+/// A TCP relay in front of `daemon`: it forwards every connection both
+/// ways, except that it closes the first one right after relaying the
+/// daemon's first reply line (`submitted`) — a dropped connection while
+/// the daemon itself stays up. Returns the relay's address.
+fn relay_dropping_the_first_connection(daemon: &str) -> String {
+    use std::io::Write as _;
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let addr = listener.local_addr().expect("relay address").to_string();
+    let daemon = daemon.to_owned();
+    std::thread::spawn(move || {
+        for (n, client) in listener.incoming().enumerate() {
+            let Ok(client) = client else { continue };
+            let Ok(upstream) = TcpStream::connect(&daemon) else {
+                continue;
+            };
+            let (mut from_client, mut to_daemon) = (
+                client.try_clone().expect("clone client"),
+                upstream.try_clone().expect("clone upstream"),
+            );
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from_client, &mut to_daemon);
+                let _ = to_daemon.shutdown(Shutdown::Write);
+            });
+            let mut to_client = client;
+            std::thread::spawn(move || {
+                if n == 0 {
+                    let mut line = String::new();
+                    let _ = std::io::BufReader::new(&upstream).read_line(&mut line);
+                    let _ = to_client.write_all(line.as_bytes());
+                    let _ = to_client.shutdown(Shutdown::Both);
+                    let _ = upstream.shutdown(Shutdown::Both);
+                } else {
+                    let _ = std::io::copy(&mut &upstream, &mut to_client);
+                    let _ = to_client.shutdown(Shutdown::Write);
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_dropped_connection_is_followed_by_resending_the_submit_which_coalesces() {
+    let work_dir = scratch("dropped");
+    let submit_args = ["table2", "--samples", "30", "--circuits", "rd53"];
+    // Slow serialized shards, so the job is still running when the client
+    // comes back.
+    let daemon = Daemon::start(
+        &work_dir,
+        &[
+            "--job-shards",
+            "4",
+            "--launcher",
+            "local*1",
+            "--worker-arg",
+            "--inject-slow-ms",
+            "--worker-arg",
+            "400",
+        ],
+    );
+    let relay = relay_dropping_the_first_connection(&daemon.addr);
+
+    let out = xbar()
+        .args(["submit", "--connect", &relay])
+        .args(submit_args)
+        .arg("--wait")
+        .output()
+        .expect("run xbar submit");
+    assert!(
+        out.status.success(),
+        "client must survive the drop: {out:?}"
+    );
+    let note = stderr_str(&out);
+    assert!(
+        note.contains("reconnecting to follow job"),
+        "the client must notice the drop: {note}"
+    );
+    assert!(
+        !note.contains("resubmitted as job"),
+        "the daemon kept the job; the re-sent submit joins it: {note}"
+    );
+
+    let reference = xbar()
+        .args(["run"])
+        .args(submit_args)
+        .arg("--json")
+        .output()
+        .expect("run xbar run");
+    assert_eq!(
+        stdout_str(&out),
+        stdout_str(&reference),
+        "bytes delivered across the drop must equal a monolithic run"
+    );
+
+    let stats = stdout_str(&daemon.submit(&["--stats"]));
+    assert!(stats.contains("\"completed\": 1"), "one job ran: {stats}");
+    assert!(
+        stats.contains("\"coalesced\": 1"),
+        "the re-sent submit coalesced onto the running job: {stats}"
+    );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn result_is_served_from_the_cache_and_a_missing_entry_is_an_error() {
+    let work_dir = scratch("result-from-cache");
+    let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
+    let submit_args = ["table2", "--quick", "--circuits", "rd53"];
+
+    let cold = daemon.submit(&[&submit_args[..], &["--wait"]].concat());
+    assert!(cold.status.success(), "{cold:?}");
+    assert!(
+        stderr_str(&cold).contains("job 0 (cache miss)"),
+        "{}",
+        stderr_str(&cold)
+    );
+    let result = daemon.submit(&["--result", "0"]);
+    assert!(result.status.success(), "{result:?}");
+    assert_eq!(
+        stdout_str(&result),
+        stdout_str(&cold),
+        "`result` serves the cached bytes"
+    );
+
+    // Delete the job's cache entry: `result` must name the missing
+    // artifact in an error, not panic or serve an empty artifact.
+    let exp = find_experiment("table2").expect("registered");
+    let params = Params::parse(
+        exp.extra_params(),
+        submit_args[1..].iter().map(|s| (*s).to_owned()),
+    )
+    .expect("parses");
+    let key = cache_key(exp, &params);
+    std::fs::remove_file(work_dir.join("cache").join(format!("{}.json", key.name)))
+        .expect("remove the cached artifact");
+    let missing = daemon.submit(&["--result", "0"]);
+    assert_eq!(missing.status.code(), Some(1), "{missing:?}");
+    assert!(stdout_str(&missing).is_empty(), "{missing:?}");
+    assert!(
+        stderr_str(&missing).contains(&key.name),
+        "the error names the missing artifact: {}",
+        stderr_str(&missing)
+    );
+
+    let stats = daemon.submit(&["--stats"]);
+    assert!(stats.status.success(), "daemon must survive: {stats:?}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
