@@ -167,13 +167,11 @@ fn main() {
                 );
                 println!(
                     "sharded coordinator ({} workers, {} samples/circuit): {:.1}/s vs \
-                     single-process {:.1}/s ({:.2}x, spawn overhead {:.3}s, stats byte-identical)",
+                     single-process {:.1}/s (stats byte-identical)",
                     s.shards,
                     s.samples,
                     s.sharded_sps(),
                     s.single_sps(),
-                    s.relative(),
-                    s.spawn_overhead_secs
                 );
                 Some(s)
             }

@@ -13,11 +13,11 @@ use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::time::Instant;
 use xbar_core::{
-    reference, CrossbarMatrix, DefectSampler, FunctionMatrix, MatchEngine, SampleStream,
+    reference, Campaign, CrossbarMatrix, DefectSampler, FunctionMatrix, MatchEngine, SampleStream,
 };
 use xbar_exp::launch::{run_launch_with_report, HostSpec, LaunchConfig, LocalProc};
 use xbar_exp::sample_seed;
-use xbar_exp::shard::coordinator::{render_stats_json, run_monolithic, MergedResult, Worker};
+use xbar_exp::shard::coordinator::{render_stats_json, run_monolithic, Worker};
 use xbar_exp::shard::McConfig;
 use xbar_logic::bench_reg::find;
 
@@ -110,7 +110,7 @@ fn best_of_3(mut pass: impl FnMut()) -> f64 {
 /// — different defect maps — and are pinned as their own goldens).
 ///
 /// The engine pass and the phase replays are timed best-of-3
-/// ([`best_of_3`]); the legacy pass runs once — contention can only slow
+/// (`best_of_3`); the legacy pass runs once — contention can only slow
 /// it down, which *raises* the reported speedup's denominator safety
 /// margin, and at large circuits a legacy repeat costs minutes.
 ///
@@ -293,11 +293,7 @@ pub fn measure_model_dispatch(
 ///
 /// On a single machine both sides use every core, so this entry tracks
 /// the *fan-out overhead* of the multi-host scaling path (process spawn,
-/// partial-file round-trip, merge), not a speedup. The fixed part of that
-/// overhead is measured separately ([`ShardedThroughput::spawn_overhead_secs`],
-/// a near-empty coordinator run) so the relative-throughput number can be
-/// taken at a per-shard sample count large enough to reflect steady-state
-/// sharding rather than process startup.
+/// partial-file round-trip, merge), not a speedup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedThroughput {
     /// Worker processes / sample-range shards.
@@ -310,10 +306,6 @@ pub struct ShardedThroughput {
     pub sharded_secs: f64,
     /// Wall-clock seconds for the monolithic in-process run.
     pub single_secs: f64,
-    /// Wall-clock seconds for a minimal coordinator run (one sample per
-    /// shard, same circuits): process spawn + partial-file round-trip +
-    /// merge, with essentially no simulation amortized on top.
-    pub spawn_overhead_secs: f64,
 }
 
 impl ShardedThroughput {
@@ -334,21 +326,13 @@ impl ShardedThroughput {
     pub fn single_sps(&self) -> f64 {
         self.total_samples() as f64 / self.single_secs.max(f64::MIN_POSITIVE)
     }
-
-    /// Throughput ratio sharded/single (< 1 means fan-out overhead).
-    #[must_use]
-    pub fn relative(&self) -> f64 {
-        self.single_secs / self.sharded_secs.max(f64::MIN_POSITIVE)
-    }
 }
 
 /// Measures the sharded coordinator against the monolithic path on the
 /// same campaign and asserts their merged stats artifacts are
-/// byte-identical before reporting any timing. A second, near-empty
-/// coordinator run (one sample per shard) isolates the fixed fan-out cost
-/// as [`ShardedThroughput::spawn_overhead_secs`]; pass a `samples` count
-/// well above `shards` so the main measurement amortizes that overhead
-/// and reports steady-state sharding.
+/// byte-identical before reporting any timing. Pass a `samples` count
+/// well above `shards` so the measurement amortizes process start and
+/// reports steady-state sharding.
 ///
 /// # Panics
 ///
@@ -364,38 +348,24 @@ pub fn measure_sharded(
     shards: usize,
     worker: Worker,
 ) -> ShardedThroughput {
-    let config_for = |samples: usize| McConfig {
-        samples,
-        seed,
-        defect_rate,
-        stream: SampleStream::V1,
-        model: xbar_core::DefectModelSpec::default(),
+    let config = McConfig {
+        campaign: Campaign {
+            samples,
+            seed,
+            defect_rate,
+            ..Campaign::default()
+        },
         circuits: circuits.to_vec(),
     };
     // `xbar mc coordinate`'s runner: the one-host local fleet, one slot
     // per core, partials under a scratch work dir removed afterwards.
-    let coordinate = |config: McConfig, tag: &str| -> MergedResult {
-        let slots = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        let mut cfg =
-            LaunchConfig::new(config, shards, vec![HostSpec::local(slots)], worker.clone());
-        cfg.work_dir = std::env::temp_dir().join(format!("mc-bench-{tag}-{}", std::process::id()));
-        let (merged, _) =
-            run_launch_with_report(&cfg, &LocalProc).expect("sharded coordinator run");
-        let _ = std::fs::remove_dir(&cfg.work_dir);
-        merged
-    };
-
-    // Fixed fan-out cost: one sample per shard, so the run is all spawn,
-    // partial round-trip, and merge.
-    let t0 = Instant::now();
-    let _ = coordinate(config_for(shards), "overhead");
-    let spawn_overhead_secs = t0.elapsed().as_secs_f64();
-
-    // Steady-state measurement at the full sample count.
-    let config = config_for(samples);
+    let slots = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+    let mut cfg = LaunchConfig::new(config.clone(), shards, vec![HostSpec::local(slots)], worker);
+    cfg.work_dir = std::env::temp_dir().join(format!("mc-bench-steady-{}", std::process::id()));
     let t1 = Instant::now();
-    let sharded = coordinate(config.clone(), "steady");
+    let (sharded, _) = run_launch_with_report(&cfg, &LocalProc).expect("sharded coordinator run");
     let sharded_secs = t1.elapsed().as_secs_f64();
+    let _ = std::fs::remove_dir(&cfg.work_dir);
     let t2 = Instant::now();
     let single = run_monolithic(&config);
     let single_secs = t2.elapsed().as_secs_f64();
@@ -410,7 +380,6 @@ pub fn measure_sharded(
         circuits: circuits.to_vec(),
         sharded_secs,
         single_secs,
-        spawn_overhead_secs,
     }
 }
 
@@ -727,15 +696,12 @@ pub fn render_json_full(
             out,
             "  \"sharded\": {{\"shards\": {}, \"samples\": {}, \"circuits\": {}, \
              \"sharded_samples_per_sec\": {:.1}, \"single_process_samples_per_sec\": {:.1}, \
-             \"relative_throughput\": {:.2}, \"spawn_overhead_secs\": {:.3}, \
              \"stats_byte_identical\": true}}{comma}",
             s.shards,
             s.total_samples(),
             s.circuits.len(),
             s.sharded_sps(),
             s.single_sps(),
-            s.relative(),
-            s.spawn_overhead_secs,
         );
     }
     if let Some(v) = service {
@@ -805,13 +771,12 @@ mod tests {
             circuits: vec!["rd53".to_owned(), "misex1".to_owned()],
             sharded_secs: 0.5,
             single_secs: 0.4,
-            spawn_overhead_secs: 0.05,
         };
         assert_eq!(sharded.total_samples(), 40);
-        assert!((sharded.relative() - 0.8).abs() < 1e-12);
+        assert!((sharded.sharded_sps() - 80.0).abs() < 1e-9);
         let json = render_json_with_sharded(&[r], 0.10, 7, Some(&sharded), None);
         assert!(json.contains("\"sharded\""));
-        assert!(json.contains("\"spawn_overhead_secs\": 0.050"));
+        assert!(json.contains("\"sharded_samples_per_sec\": 80.0"));
         assert!(json.contains("\"stats_byte_identical\": true"));
         assert_eq!(
             json.matches('{').count(),

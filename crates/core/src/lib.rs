@@ -22,10 +22,12 @@
 //!   with the FM structure cached per campaign
 //!   ([`MatchEngine::prepare_fm`]), a Hall fast-fail on empty candidate
 //!   rows, and zero per-sample heap allocation in Monte Carlo loops
-//!   ([`reference`] keeps the dense originals as baselines);
+//!   ([`reference`](mod@reference) keeps the dense originals as baselines);
 //! * [`map_naive`] — the defect-unaware baseline of Fig. 7(a);
 //! * [`program_two_level`] / [`verify_against_cover`] — execute a mapping
 //!   on the simulated fabric and check functional correctness;
+//! * [`Campaign`] — the sampling identity of a Monte Carlo campaign
+//!   (samples, seed, defect rate, stream, spatial model);
 //! * [`estimate_yield`] / [`map_multilevel`] — the paper's two future-work
 //!   items: redundancy/yield analysis and defect-tolerant multi-level
 //!   mapping;
@@ -71,6 +73,7 @@ pub mod bits {
     pub use xbar_assign::bits::*;
 }
 
+mod campaign;
 mod column_redundancy;
 pub mod digest;
 mod engine;
@@ -83,6 +86,7 @@ pub mod stats;
 mod synthesis;
 mod verify;
 
+pub use campaign::Campaign;
 pub use column_redundancy::{
     column_redundancy_yield, map_with_column_redundancy, RedundantMapping,
 };

@@ -10,11 +10,10 @@
 //! fixed roles — the paper's optimum-size assumption keeps column roles
 //! pinned to the CMOS driver).
 
+use crate::campaign::Campaign;
 use crate::engine::MatchEngine;
 use crate::mapping::{map_exact, map_hybrid, MappingOutcome};
-use crate::matrices::{
-    CrossbarMatrix, DefectModelSpec, DefectSampler, FunctionMatrix, SampleStream,
-};
+use crate::matrices::{CrossbarMatrix, FunctionMatrix};
 use crate::stats::SuccessCount;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,28 +54,21 @@ impl MapperKind {
     }
 }
 
-/// Configuration of a yield experiment.
+/// Configuration of a yield experiment: a [`Campaign`] plus the crossbar
+/// and mapper under test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldConfig {
-    /// Per-crosspoint defect probability.
-    pub defect_rate: f64,
-    /// Fraction of defects that are stuck-closed (0.0 = Table II regime).
-    pub stuck_closed_fraction: f64,
-    /// Spare horizontal lines beyond the optimum `P + K`.
-    pub spare_rows: usize,
-    /// Monte Carlo sample count.
-    pub samples: usize,
+    /// Samples, seed, defect rate, and the stream and spatial model of
+    /// the stuck-open-only regime. Mixed stuck-open/stuck-closed sampling
+    /// goes through device-level [`Crossbar`] construction, which draws
+    /// i.i.d. cells whatever the stream and model.
+    pub campaign: Campaign,
     /// Mapper under test.
     pub mapper: MapperKind,
-    /// RNG seed.
-    pub seed: u64,
-    /// Defect sampling stream for the stuck-open-only regime (mixed
-    /// stuck-open/stuck-closed sampling goes through device-level
-    /// [`Crossbar`] construction, which is stream-independent).
-    pub stream: SampleStream,
-    /// Spatial defect model for the stuck-open-only regime (the
-    /// stuck-closed path keeps its device-level i.i.d. semantics).
-    pub model: DefectModelSpec,
+    /// Spare horizontal lines beyond the optimum `P + K`.
+    pub spare_rows: usize,
+    /// Fraction of defects that are stuck-closed (0.0 = Table II regime).
+    pub stuck_closed_fraction: f64,
 }
 
 /// Result of a yield experiment.
@@ -102,11 +94,12 @@ pub struct YieldResult {
 /// Panics when `samples` is 0.
 #[must_use]
 pub fn estimate_yield(fm: &FunctionMatrix, config: &YieldConfig) -> YieldResult {
-    assert!(config.samples > 0, "need at least one sample");
+    let campaign = &config.campaign;
+    assert!(campaign.samples > 0, "need at least one sample");
     let optimum_rows = fm.num_rows();
     let rows = optimum_rows + config.spare_rows;
     let cols = fm.num_cols();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(campaign.seed);
     // The same mergeable accumulator the sharded Monte Carlo coordinator
     // merges: integer counts, so single-process and sharded aggregation
     // share one code path and stay bit-identical.
@@ -116,13 +109,13 @@ pub fn estimate_yield(fm: &FunctionMatrix, config: &YieldConfig) -> YieldResult 
     // once so every sample's adjacency build starts from the cache.
     engine.prepare_fm(fm);
     let mut cm_buf = CrossbarMatrix::perfect(rows, cols);
-    let sampler = DefectSampler::with_model(config.stream, config.model);
-    for _ in 0..config.samples {
+    let sampler = campaign.sampler();
+    for _ in 0..campaign.samples {
         let success = if config.stuck_closed_fraction > 0.0 {
             // Stuck-closed defects need full device semantics (row/column
             // poisoning), which `from_crossbar` encodes.
             let profile = DefectProfile {
-                rate: config.defect_rate,
+                rate: campaign.defect_rate,
                 stuck_closed_fraction: config.stuck_closed_fraction,
             };
             let xbar = Crossbar::with_random_defects(rows, cols, profile, &mut rng);
@@ -131,7 +124,7 @@ pub fn estimate_yield(fm: &FunctionMatrix, config: &YieldConfig) -> YieldResult 
         } else {
             // Stuck-open-only sampling reuses one matrix and the engine's
             // scratch: zero allocations per sample.
-            sampler.resample(&mut cm_buf, config.defect_rate, &mut rng);
+            sampler.resample(&mut cm_buf, campaign.defect_rate, &mut rng);
             config.mapper.succeeds_with(&mut engine, fm, &cm_buf)
         };
         counts.push(success);
@@ -140,7 +133,7 @@ pub fn estimate_yield(fm: &FunctionMatrix, config: &YieldConfig) -> YieldResult 
     YieldResult {
         success_rate: counts.rate(),
         successes: counts.successes as usize,
-        samples: config.samples,
+        samples: campaign.samples,
         area,
         area_overhead: area as f64 / (optimum_rows * cols) as f64,
     }
@@ -188,15 +181,21 @@ mod tests {
     }
 
     fn base_config() -> YieldConfig {
+        config(0.15, 0.0)
+    }
+
+    /// The base campaign at another defect rate and stuck-closed fraction.
+    fn config(defect_rate: f64, stuck_closed_fraction: f64) -> YieldConfig {
         YieldConfig {
-            defect_rate: 0.15,
-            stuck_closed_fraction: 0.0,
-            spare_rows: 0,
-            samples: 150,
+            campaign: Campaign {
+                samples: 150,
+                seed: 17,
+                defect_rate,
+                ..Campaign::default()
+            },
             mapper: MapperKind::Exact,
-            seed: 17,
-            stream: SampleStream::V1,
-            model: DefectModelSpec::default(),
+            spare_rows: 0,
+            stuck_closed_fraction,
         }
     }
 
@@ -219,41 +218,16 @@ mod tests {
     #[test]
     fn yield_degrades_with_defect_rate() {
         let fm = sample_fm();
-        let low = estimate_yield(
-            &fm,
-            &YieldConfig {
-                defect_rate: 0.05,
-                ..base_config()
-            },
-        );
-        let high = estimate_yield(
-            &fm,
-            &YieldConfig {
-                defect_rate: 0.35,
-                ..base_config()
-            },
-        );
+        let low = estimate_yield(&fm, &config(0.05, 0.0));
+        let high = estimate_yield(&fm, &config(0.35, 0.0));
         assert!(low.success_rate > high.success_rate);
     }
 
     #[test]
     fn stuck_closed_defects_are_much_harsher() {
         let fm = sample_fm();
-        let open_only = estimate_yield(
-            &fm,
-            &YieldConfig {
-                defect_rate: 0.08,
-                ..base_config()
-            },
-        );
-        let with_closed = estimate_yield(
-            &fm,
-            &YieldConfig {
-                defect_rate: 0.08,
-                stuck_closed_fraction: 0.5,
-                ..base_config()
-            },
-        );
+        let open_only = estimate_yield(&fm, &config(0.08, 0.0));
+        let with_closed = estimate_yield(&fm, &config(0.08, 0.5));
         assert!(
             with_closed.success_rate < open_only.success_rate,
             "stuck-closed must hurt: {} vs {}",
@@ -270,12 +244,8 @@ mod tests {
     #[test]
     fn spare_rows_do_not_recover_stuck_closed_yield() {
         let fm = sample_fm();
-        let cfg = YieldConfig {
-            defect_rate: 0.06,
-            stuck_closed_fraction: 0.4,
-            samples: 200,
-            ..base_config()
-        };
+        let mut cfg = config(0.06, 0.4);
+        cfg.campaign.samples = 200;
         let none = estimate_yield(&fm, &cfg);
         let spared = estimate_yield(
             &fm,

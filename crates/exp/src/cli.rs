@@ -16,39 +16,6 @@
 
 use crate::experiment::{find_experiment, registry, ExpError, Params, Reporter};
 use crate::shard;
-use std::path::PathBuf;
-
-/// Common experiment parameters (the pre-registry surface, kept as the
-/// bridge type experiment library code receives via
-/// [`Params::exp_args`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpArgs {
-    /// Monte Carlo sample count (paper default: 200).
-    pub samples: usize,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Per-crosspoint defect probability (paper default: 0.10).
-    pub defect_rate: f64,
-    /// Defect sampling stream version (`--rng-stream`, default V1).
-    pub stream: xbar_core::SampleStream,
-    /// Spatial defect model (`--defect-model` family, default i.i.d.).
-    pub model: xbar_core::DefectModelSpec,
-    /// Optional CSV output path.
-    pub csv: Option<PathBuf>,
-}
-
-impl Default for ExpArgs {
-    fn default() -> Self {
-        Self {
-            samples: 200,
-            seed: 2018,
-            defect_rate: 0.10,
-            stream: xbar_core::SampleStream::V1,
-            model: xbar_core::DefectModelSpec::default(),
-            csv: None,
-        }
-    }
-}
 
 const TOP_USAGE: &str = "xbar — unified driver for every experiment in the \
 Tunali & Altun (DATE 2018) reproduction

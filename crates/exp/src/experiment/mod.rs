@@ -243,7 +243,10 @@ mod tests {
 
         fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
             reporter.line("running");
-            Ok(Artifact::new(Json::obj([("seed", Json::u64(params.seed))])))
+            Ok(Artifact::new(Json::obj([(
+                "seed",
+                Json::u64(params.campaign.seed),
+            )])))
         }
     }
 

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
+use xbar_core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 
 /// A flag-parsing/usage error. The CLI driver prints it with the
 /// experiment's usage text and exits with code 2.
@@ -273,8 +273,10 @@ const OMIT_DEFAULT_ECHO: [&str; 3] = [
     LINE_RATE_PARAM.name,
 ];
 
-/// The parameters every experiment shares (the old `ExpArgs` surface plus
-/// output routing), rendered in usage text for all experiments.
+/// The parameters every experiment shares (the [`Campaign`]'s samples,
+/// seed and defect rate, plus output routing), rendered in usage text for
+/// all experiments. `Campaign::default()` holds the same defaults as
+/// values; a test keeps the two equal.
 pub const COMMON_PARAMS: &[ParamSpec] = &[
     spec(
         "samples",
@@ -466,12 +468,11 @@ impl Flags {
 /// `params.str`, …, through `Deref`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
-    /// Monte Carlo sample count (already divided when `quick` is set).
-    pub samples: usize,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Per-crosspoint defect probability.
-    pub defect_rate: f64,
+    /// The sampling campaign: `--samples` (already divided when `quick`
+    /// is set), `--seed`, `--defect-rate`, and the stream and defect model
+    /// for experiments that declare [`RNG_STREAM_PARAM`] and
+    /// [`DEFECT_MODEL_PARAMS`] (the defaults for the others).
+    pub campaign: Campaign,
     /// Smoke-run mode (`--quick`).
     pub quick: bool,
     /// Artifact-to-stdout mode (`--json`).
@@ -536,89 +537,75 @@ impl Params {
     ///
     /// Returns a [`UsageError`] when a central check fails.
     pub fn from_flags(flags: &Flags, extra: &[ParamSpec]) -> Result<Self, UsageError> {
-        let mut out = Self {
-            samples: flags.usize("samples"),
-            seed: flags.u64("seed"),
-            defect_rate: flags.f64("defect-rate"),
-            quick: flags.opt_flag("quick") == Some(true),
-            json: false,
-            out: None,
-            csv: None,
-            extras: Flags(
-                extra
-                    .iter()
-                    .filter_map(|s| Some((s.name, flags.0.get(s.name)?.clone())))
-                    .collect(),
-            ),
-        };
-        if out.quick {
-            out.samples = (out.samples / 10).max(10);
-        }
-        // Central floor: every Monte Carlo experiment divides by the
-        // sample count or asserts it non-zero; deterministic experiments
-        // ignore it, so rejecting 0 here costs nothing and keeps the
-        // no-panic exit-code contract for all of them.
-        if out.samples == 0 {
-            return Err(usage_err("--samples must be at least 1"));
-        }
-        // Central range check for the shared cluster size (probabilities
-        // are range-checked by their kind), so `Params::defect_model` is
-        // infallible for accessor code.
-        // Non-finite values never reach here: `parse_value` rejects them
-        // for every F64 param.
-        if out
+        let quick = flags.opt_flag("quick") == Some(true);
+        let extras = Flags(
+            extra
+                .iter()
+                .filter_map(|s| Some((s.name, flags.0.get(s.name)?.clone())))
+                .collect(),
+        );
+        // Choice kinds are checked against their choices at parse time,
+        // so these parses fail only on a registry bug; they still answer
+        // with a usage error rather than a panic.
+        let stream = extras
+            .opt_str(RNG_STREAM_PARAM.name)
+            .map_or(Ok(SampleStream::V1), SampleStream::parse)
+            .map_err(usage_err)?;
+        // The cluster size is the one model parameter whose range its kind
+        // does not check (probabilities are range-checked by `Prob`, and
+        // non-finite values never parse as any F64 param).
+        if extras
             .opt_f64(CLUSTER_SIZE_PARAM.name)
             .is_some_and(|v| v < 1.0)
         {
             return Err(usage_err("--cluster-size must be at least 1"));
         }
-        Ok(out)
-    }
-
-    /// The defect sampling stream selected by `--rng-stream`, or
-    /// [`SampleStream::V1`] for experiments that never declared
-    /// [`RNG_STREAM_PARAM`] (deterministic experiments sample nothing).
-    #[must_use]
-    pub fn sample_stream(&self) -> SampleStream {
-        self.opt_str(RNG_STREAM_PARAM.name)
-            .map_or(SampleStream::V1, |v| {
-                SampleStream::parse(v)
-                    .unwrap_or_else(|_| panic!("--rng-stream validated at parse time, got {v:?}"))
-            })
-    }
-
-    /// The defect model selected by `--defect-model` (+ `--cluster-size`,
-    /// `--line-rate`), or the default i.i.d. model for experiments that
-    /// never declared [`DEFECT_MODEL_PARAMS`]. Parameter ranges are
-    /// enforced at parse time, so this is infallible.
-    #[must_use]
-    pub fn defect_model(&self) -> DefectModelSpec {
-        let Some(kind) = self.opt_str(DEFECT_MODEL_PARAM.name) else {
-            return DefectModelSpec::default();
-        };
-        DefectModelSpec::new(
-            DefectModelKind::parse(kind)
-                .unwrap_or_else(|_| panic!("--defect-model validated at parse time, got {kind:?}")),
-            self.opt_f64(CLUSTER_SIZE_PARAM.name)
+        let model = DefectModelSpec::new(
+            extras
+                .opt_str(DEFECT_MODEL_PARAM.name)
+                .map_or(Ok(DefectModelKind::Iid), DefectModelKind::parse)
+                .map_err(usage_err)?,
+            extras
+                .opt_f64(CLUSTER_SIZE_PARAM.name)
                 .unwrap_or(DefectModelSpec::DEFAULT_CLUSTER_SIZE),
-            self.opt_f64(LINE_RATE_PARAM.name)
+            extras
+                .opt_f64(LINE_RATE_PARAM.name)
                 .unwrap_or(DefectModelSpec::DEFAULT_LINE_RATE),
         )
-        .expect("defect-model params validated at parse time")
+        .map_err(usage_err)?;
+        let samples = flags.usize("samples");
+        let campaign = Campaign {
+            samples: if quick {
+                (samples / 10).max(10)
+            } else {
+                samples
+            },
+            seed: flags.u64("seed"),
+            defect_rate: flags.f64("defect-rate"),
+            stream,
+            model,
+        };
+        // Central floor: every Monte Carlo experiment divides by the
+        // sample count or asserts it non-zero; deterministic experiments
+        // ignore it, so rejecting 0 samples here costs nothing and keeps
+        // the no-panic exit-code contract for all of them.
+        campaign.validate().map_err(usage_err)?;
+        Ok(Self {
+            campaign,
+            quick,
+            json: false,
+            out: None,
+            csv: None,
+            extras,
+        })
     }
 
-    /// The equivalent legacy [`ExpArgs`](crate::ExpArgs) for experiment
-    /// code that predates the typed layer.
+    /// The sampling campaign, for callers written against the earlier
+    /// bridge type.
+    #[doc(hidden)]
     #[must_use]
-    pub fn exp_args(&self) -> crate::ExpArgs {
-        crate::ExpArgs {
-            samples: self.samples,
-            seed: self.seed,
-            defect_rate: self.defect_rate,
-            stream: self.sample_stream(),
-            model: self.defect_model(),
-            csv: self.csv.clone(),
-        }
+    pub fn exp_args(&self) -> Campaign {
+        self.campaign
     }
 
     /// The canonical `params` echo of the artifact document: the
@@ -629,9 +616,12 @@ impl Params {
     #[must_use]
     pub fn to_json(&self, extra: &[ParamSpec]) -> Json {
         let mut fields = vec![
-            ("samples".to_owned(), Json::usize(self.samples)),
-            ("seed".to_owned(), Json::u64(self.seed)),
-            ("defect_rate".to_owned(), Json::f64(self.defect_rate)),
+            ("samples".to_owned(), Json::usize(self.campaign.samples)),
+            ("seed".to_owned(), Json::u64(self.campaign.seed)),
+            (
+                "defect_rate".to_owned(),
+                Json::f64(self.campaign.defect_rate),
+            ),
         ];
         for s in extra {
             let Some(value) = self.extras.0.get(s.name) else {
@@ -808,13 +798,19 @@ mod tests {
     #[test]
     fn defaults_match_the_paper_and_specs() {
         let p = parse(&[]).expect("defaults parse");
-        assert_eq!(p.samples, 200);
-        assert_eq!(p.seed, 2018);
-        assert!((p.defect_rate - 0.10).abs() < 1e-12);
+        assert_eq!(p.campaign, Campaign::default());
         assert_eq!(p.str("circuit"), "rd53");
         assert_eq!(p.usize("spare-rows"), 0);
         assert!(!p.flag("verbose"));
         assert_eq!(p.list("sizes"), ["8", "9"]);
+    }
+
+    /// `COMMON_PARAMS` spells the campaign defaults as text and
+    /// `Campaign::default()` as values; the two must agree.
+    #[test]
+    fn table2_defaults_are_the_default_campaign() {
+        let table2 = crate::experiments::table2::TABLE2_PARAMS;
+        assert_eq!(Params::defaults(table2).campaign, Campaign::default());
     }
 
     #[test]
@@ -837,12 +833,8 @@ mod tests {
             "/tmp/x.csv",
         ])
         .expect("parses");
-        assert_eq!(p.samples, 50);
-        assert_eq!(p.seed, 9);
-        assert!((p.defect_rate - 0.2).abs() < 1e-12);
-        let args = p.exp_args();
-        assert_eq!((args.samples, args.seed), (50, 9));
-        assert!((args.defect_rate - 0.2).abs() < 1e-12);
+        assert_eq!((p.campaign.samples, p.campaign.seed), (50, 9));
+        assert!((p.campaign.defect_rate - 0.2).abs() < 1e-12);
         assert_eq!(p.str("circuit"), "bw");
         assert_eq!(p.usize("spare-rows"), 4);
         assert!(p.flag("verbose"));
@@ -871,13 +863,14 @@ mod tests {
             &["--quick", "--samples", "500"][..],
             &["--samples", "500", "--quick"][..],
         ] {
-            assert_eq!(parse(words).expect("parses").samples, 50);
+            assert_eq!(parse(words).expect("parses").campaign.samples, 50);
         }
-        assert_eq!(parse(&["--quick"]).expect("parses").samples, 20);
+        assert_eq!(parse(&["--quick"]).expect("parses").campaign.samples, 20);
         // Floor of 10 samples even for tiny campaigns.
         assert_eq!(
             parse(&["--samples", "3", "--quick"])
                 .expect("parses")
+                .campaign
                 .samples,
             10
         );
@@ -928,13 +921,13 @@ mod tests {
 
     #[test]
     fn enum_params_validate_their_choices() {
-        // Default: the declared literal, typed through sample_stream().
+        // Default: the declared literal, typed into the campaign's stream.
         let p = parse(&[]).expect("defaults parse");
         assert_eq!(p.str("rng-stream"), "v1");
-        assert_eq!(p.sample_stream(), SampleStream::V1);
+        assert_eq!(p.campaign.stream, SampleStream::V1);
 
         let p = parse(&["--rng-stream", "v2"]).expect("parses");
-        assert_eq!(p.sample_stream(), SampleStream::V2);
+        assert_eq!(p.campaign.stream, SampleStream::V2);
 
         let err = parse(&["--rng-stream", "v3"]).expect_err("must fail");
         assert!(err.0.contains("one of v1, v2"), "{err}");
@@ -945,7 +938,7 @@ mod tests {
         // Experiments that never declared RNG_STREAM_PARAM (deterministic
         // ones) still answer V1 instead of panicking.
         let p = Params::parse(&[], std::iter::empty()).expect("parses");
-        assert_eq!(p.sample_stream(), SampleStream::V1);
+        assert_eq!(p.campaign.stream, SampleStream::V1);
     }
 
     #[test]
@@ -970,19 +963,19 @@ mod tests {
     fn defect_model_defaults_parses_and_normalizes() {
         // Default and undeclared both answer the i.i.d. model.
         let p = parse_modeled(&[]).expect("defaults parse");
-        assert_eq!(p.defect_model(), DefectModelSpec::default());
+        assert_eq!(p.campaign.model, DefectModelSpec::default());
         let p = Params::parse(&[], std::iter::empty()).expect("parses");
-        assert_eq!(p.defect_model(), DefectModelSpec::default());
+        assert_eq!(p.campaign.model, DefectModelSpec::default());
 
         let p =
             parse_modeled(&["--defect-model", "clustered", "--cluster-size", "6"]).expect("parses");
-        let spec = p.defect_model();
+        let spec = p.campaign.model;
         assert_eq!(spec.kind(), DefectModelKind::Clustered);
         assert!((spec.cluster_size() - 6.0).abs() < 1e-12);
 
         let p =
             parse_modeled(&["--defect-model", "lines", "--line-rate", "0.125"]).expect("parses");
-        let spec = p.defect_model();
+        let spec = p.campaign.model;
         assert_eq!(spec.kind(), DefectModelKind::Lines);
         assert!((spec.line_rate() - 0.125).abs() < 1e-12);
 
@@ -990,7 +983,7 @@ mod tests {
         // its default, so campaign identity comparisons stay exact.
         let p = parse_modeled(&["--defect-model", "lines", "--cluster-size", "9"]).expect("parses");
         assert!(
-            (p.defect_model().cluster_size() - DefectModelSpec::DEFAULT_CLUSTER_SIZE).abs() < 1e-12
+            (p.campaign.model.cluster_size() - DefectModelSpec::DEFAULT_CLUSTER_SIZE).abs() < 1e-12
         );
     }
 

@@ -86,25 +86,29 @@ impl Experiment for EstimateYieldExperiment {
                 "--stuck-closed-fraction must be in [0, 1]".to_owned(),
             ));
         }
-        let mapper = parse_mapper(params.str("mapper"))?;
-        if params.samples == 0 {
-            return Err(ExpError::Usage("--samples must be at least 1".to_owned()));
+        // Mixed stuck-open/stuck-closed sampling draws i.i.d. device cells
+        // whatever the model, so a spatial model there would label the
+        // artifact with a distribution it never sampled.
+        let campaign = params.campaign;
+        if stuck_closed_fraction > 0.0 && !campaign.model.is_default() {
+            return Err(ExpError::Usage(format!(
+                "--defect-model {} cannot be combined with --stuck-closed-fraction > 0 \
+                 (stuck-closed sampling draws i.i.d. cells only)",
+                campaign.model.kind()
+            )));
         }
+        let mapper = parse_mapper(params.str("mapper"))?;
         let spare_rows = params.usize("spare-rows");
 
-        let cover = info.mapping_cover(params.seed);
+        let cover = info.mapping_cover(campaign.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         let result = estimate_yield(
             &fm,
             &YieldConfig {
-                defect_rate: params.defect_rate,
-                stuck_closed_fraction,
-                spare_rows,
-                samples: params.samples,
+                campaign,
                 mapper,
-                seed: params.seed,
-                stream: params.sample_stream(),
-                model: params.defect_model(),
+                spare_rows,
+                stuck_closed_fraction,
             },
         );
 
@@ -127,7 +131,7 @@ impl Experiment for EstimateYieldExperiment {
             circuit.to_owned(),
             format!("{}+{} x {}", fm.num_rows(), spare_rows, fm.num_cols()),
             params.str("mapper").to_owned(),
-            format!("{:.1}%", params.defect_rate * 100.0),
+            format!("{:.1}%", campaign.defect_rate * 100.0),
             format!("{:.0}%", stuck_closed_fraction * 100.0),
             result.successes.to_string(),
             result.samples.to_string(),

@@ -15,7 +15,7 @@ use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xbar_core::{CrossbarMatrix, DefectSampler, FunctionMatrix, HybridOptions, MatchEngine};
+use xbar_core::{CrossbarMatrix, FunctionMatrix, HybridOptions, MatchEngine};
 use xbar_logic::bench_reg::find;
 
 /// Ext-C as a registry [`Experiment`].
@@ -56,6 +56,7 @@ impl Experiment for ExtAblationHbaExperiment {
     }
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
+        let campaign = &params.campaign;
         let mut table = Table::new(
             "Ext-C — success rate % by algorithm variant (stuck-open defects)",
             &[
@@ -72,7 +73,7 @@ impl Experiment for ExtAblationHbaExperiment {
         for name in params.list("circuits") {
             let info = find(name)
                 .map_err(|_| ExpError::Usage(format!("--circuits: {name:?} is not registered")))?;
-            let cover = info.cover(params.seed);
+            let cover = info.cover(campaign.seed);
             let fm = FunctionMatrix::from_cover(&cover);
             let rows = fm.num_rows();
             let cols = fm.num_cols();
@@ -82,8 +83,8 @@ impl Experiment for ExtAblationHbaExperiment {
             // one scratch set and allocate nothing. Decisions are
             // byte-identical to the old per-sample facade calls.
             let samples = monte_carlo_with(
-                params.samples,
-                params.seed ^ 0xAB1A,
+                campaign.samples,
+                campaign.seed ^ 0xAB1A,
                 || {
                     let mut engine = MatchEngine::new();
                     engine.prepare_fm(&fm);
@@ -91,11 +92,9 @@ impl Experiment for ExtAblationHbaExperiment {
                 },
                 |(engine, cm), _, seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    DefectSampler::new(params.sample_stream()).resample(
-                        cm,
-                        params.defect_rate,
-                        &mut rng,
-                    );
+                    campaign
+                        .sampler()
+                        .resample(cm, campaign.defect_rate, &mut rng);
                     Counts {
                         full: usize::from(
                             engine

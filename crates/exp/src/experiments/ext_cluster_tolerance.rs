@@ -9,7 +9,6 @@
 //! plus the HBA-to-EA gap — does the heuristic's tolerance track the
 //! exact mapper's as correlation grows?
 
-use crate::cli::ExpArgs;
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, RNG_STREAM_PARAM,
@@ -17,7 +16,7 @@ use crate::experiment::{
 use crate::experiments::table2::run_circuit_range_on;
 use crate::shard::json::Json;
 use crate::table::{pct, Table};
-use xbar_core::{DefectModelKind, DefectModelSpec};
+use xbar_core::{Campaign, DefectModelKind, DefectModelSpec};
 use xbar_logic::bench_reg::find;
 
 /// Ext-H as a registry [`Experiment`].
@@ -55,11 +54,11 @@ impl Experiment for ExtClusterToleranceExperiment {
         let circuit = params.str("circuit");
         let info = find(circuit)
             .map_err(|_| ExpError::Usage(format!("--circuit: {circuit:?} is not registered")))?;
-        let cover = info.mapping_cover(params.seed);
+        let cover = info.mapping_cover(params.campaign.seed);
         reporter.line(format!(
             "circuit: {circuit} (P = {}), defect rate {:.1}%",
             cover.len(),
-            params.defect_rate * 100.0
+            params.campaign.defect_rate * 100.0
         ));
 
         // (cluster_size, accumulated HBA/EA statistics).
@@ -68,11 +67,14 @@ impl Experiment for ExtClusterToleranceExperiment {
             .map(|&size| {
                 let model = DefectModelSpec::new(DefectModelKind::Clustered, size, 0.0)
                     .expect("swept sizes are all >= 1");
-                let args = ExpArgs {
+                let campaign = Campaign {
                     model,
-                    ..params.exp_args()
+                    ..params.campaign
                 };
-                (size, run_circuit_range_on(&cover, &args, 0..params.samples))
+                (
+                    size,
+                    run_circuit_range_on(&cover, &campaign, 0..campaign.samples),
+                )
             })
             .collect();
 
@@ -100,7 +102,7 @@ impl Experiment for ExtClusterToleranceExperiment {
         let data = Json::obj([
             ("circuit", Json::str(circuit)),
             ("products", Json::usize(cover.len())),
-            ("defect_rate", Json::f64(params.defect_rate)),
+            ("defect_rate", Json::f64(params.campaign.defect_rate)),
             (
                 "sweep",
                 Json::arr(sweep.iter().map(|(size, accum)| {

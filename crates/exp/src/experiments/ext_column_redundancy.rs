@@ -48,6 +48,7 @@ impl Experiment for ExtColumnRedundancyExperiment {
     }
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
+        let campaign = &params.campaign;
         let circuit = params.str("circuit");
         let info = find(circuit)
             .map_err(|_| ExpError::Usage(format!("--circuit: {circuit:?} is not registered")))?;
@@ -57,7 +58,7 @@ impl Experiment for ExtColumnRedundancyExperiment {
                 "--stuck-closed-fraction must be in [0, 1]".to_owned(),
             ));
         }
-        let cover = info.mapping_cover(params.seed);
+        let cover = info.mapping_cover(campaign.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         reporter.line(format!(
             "circuit: {circuit} ({} rows x {} cols optimum), mixed defects: {:.0}% of defects \
@@ -85,9 +86,9 @@ impl Experiment for ExtColumnRedundancyExperiment {
                     closed_fraction,
                     sr,
                     sc,
-                    params.samples,
+                    campaign.samples,
                     MapperKind::Exact,
-                    params.seed,
+                    campaign.seed,
                 );
                 row.push(pct(y));
                 cells.push((rate, sr, sc, y));
@@ -104,7 +105,7 @@ impl Experiment for ExtColumnRedundancyExperiment {
         let data = Json::obj([
             ("circuit", Json::str(circuit)),
             ("stuck_closed_fraction", Json::f64(closed_fraction)),
-            ("samples_per_cell", Json::usize(params.samples)),
+            ("samples_per_cell", Json::usize(campaign.samples)),
             (
                 "cells",
                 Json::arr(cells.iter().map(|(rate, sr, sc, y)| {

@@ -54,6 +54,7 @@ impl Experiment for ExtDefectScanExperiment {
     }
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
+        let campaign = &params.campaign;
         let circuit = params.str("circuit");
         let info = find(circuit)
             .map_err(|_| ExpError::Usage(format!("--circuit: {circuit:?} is not registered")))?;
@@ -63,7 +64,7 @@ impl Experiment for ExtDefectScanExperiment {
                 "--stuck-closed-fraction must be in [0, 1]".to_owned(),
             ));
         }
-        let cover = info.mapping_cover(params.seed);
+        let cover = info.mapping_cover(campaign.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         let rows = fm.num_rows();
         let cols = fm.num_cols();
@@ -73,9 +74,9 @@ impl Experiment for ExtDefectScanExperiment {
             "Ext-F — test cost per procedure",
             &["procedure", "write ops", "read ops", "map recovered"],
         );
-        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut rng = StdRng::seed_from_u64(campaign.seed);
         let profile = DefectProfile {
-            rate: params.defect_rate,
+            rate: campaign.defect_rate,
             stuck_closed_fraction: closed_fraction,
         };
         let mut xbar = Crossbar::with_random_defects(rows, cols, profile, &mut rng);
@@ -115,11 +116,11 @@ impl Experiment for ExtDefectScanExperiment {
         // One engine for the whole closed loop; the FM never changes.
         let mut engine = MatchEngine::new();
         engine.prepare_fm(&fm);
-        for _ in 0..params.samples {
+        for _ in 0..campaign.samples {
             let mut xbar = Crossbar::with_random_defects(
                 rows,
                 cols,
-                DefectProfile::stuck_open_only(params.defect_rate),
+                DefectProfile::stuck_open_only(campaign.defect_rate),
                 &mut rng,
             );
             let report = scan_march(&mut xbar);
@@ -148,7 +149,7 @@ impl Experiment for ExtDefectScanExperiment {
         reporter.line(format!(
             "closed loop over {attempted} fabrics at {:.0}% stuck-open: {mapped} mapped, \
              {verified} functionally verified",
-            params.defect_rate * 100.0
+            campaign.defect_rate * 100.0
         ));
         if mapped != verified {
             return Err(ExpError::Failed(format!(

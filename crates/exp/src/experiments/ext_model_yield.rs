@@ -15,7 +15,8 @@ use crate::experiment::{
 use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use xbar_core::{
-    estimate_yield, DefectModelKind, DefectModelSpec, FunctionMatrix, MapperKind, YieldConfig,
+    estimate_yield, Campaign, DefectModelKind, DefectModelSpec, FunctionMatrix, MapperKind,
+    YieldConfig,
 };
 use xbar_logic::bench_reg::find;
 
@@ -58,7 +59,7 @@ impl Experiment for ExtModelYieldExperiment {
         let circuit = params.str("circuit");
         let info = find(circuit)
             .map_err(|_| ExpError::Usage(format!("--circuit: {circuit:?} is not registered")))?;
-        let cover = info.cover(params.seed);
+        let cover = info.cover(params.campaign.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         let cluster_size = params.f64(CLUSTER_SIZE_PARAM.name);
         let line_rate = params.f64(LINE_RATE_PARAM.name);
@@ -80,14 +81,14 @@ impl Experiment for ExtModelYieldExperiment {
                         let result = estimate_yield(
                             &fm,
                             &YieldConfig {
-                                defect_rate: rate,
-                                stuck_closed_fraction: 0.0,
-                                spare_rows: 0,
-                                samples: params.samples,
+                                campaign: Campaign {
+                                    defect_rate: rate,
+                                    model,
+                                    ..params.campaign
+                                },
                                 mapper: MapperKind::Hybrid,
-                                seed: params.seed,
-                                stream: params.sample_stream(),
-                                model,
+                                spare_rows: 0,
+                                stuck_closed_fraction: 0.0,
                             },
                         );
                         (rate, result.successes as u64, result.samples as u64)

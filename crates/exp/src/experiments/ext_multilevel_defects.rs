@@ -72,6 +72,7 @@ impl Experiment for ExtMultilevelDefectsExperiment {
     }
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
+        let campaign = &params.campaign;
         let permutations = params.usize("permutations");
         let mut table = Table::new(
             "Ext-B — multi-level mapping success rate % vs defect rate",
@@ -94,7 +95,7 @@ impl Experiment for ExtMultilevelDefectsExperiment {
             (
                 "random n=10 P=8".into(),
                 MultiLevelDesign::synthesize(
-                    &RandomSopSpec::figure6(10, 8).generate_seeded(params.seed),
+                    &RandomSopSpec::figure6(10, 8).generate_seeded(campaign.seed),
                     &MapOptions {
                         factoring: true,
                         max_fanin: Some(10),
@@ -120,12 +121,12 @@ impl Experiment for ExtMultilevelDefectsExperiment {
                         design,
                         spare,
                         rate,
-                        params.samples,
-                        params.seed,
+                        campaign.samples,
+                        campaign.seed,
                         permutations,
-                        params.sample_stream(),
+                        campaign.stream,
                     );
-                    row.push(pct(succ as f64 / params.samples.max(1) as f64));
+                    row.push(pct(succ as f64 / campaign.samples.max(1) as f64));
                     cells.push((name.clone(), rate, spare, succ));
                 }
                 table.row(row);
@@ -141,7 +142,7 @@ impl Experiment for ExtMultilevelDefectsExperiment {
 
         let data = Json::obj([
             ("permutations", Json::usize(permutations)),
-            ("samples_per_cell", Json::usize(params.samples)),
+            ("samples_per_cell", Json::usize(campaign.samples)),
             (
                 "cells",
                 Json::arr(cells.iter().map(|(design, rate, spare, succ)| {

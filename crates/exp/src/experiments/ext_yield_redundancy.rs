@@ -14,7 +14,7 @@ use crate::experiment::{
 };
 use crate::shard::json::Json;
 use crate::table::{pct, Table};
-use xbar_core::{estimate_yield, FunctionMatrix, MapperKind, YieldConfig};
+use xbar_core::{estimate_yield, Campaign, FunctionMatrix, MapperKind, YieldConfig};
 use xbar_logic::bench_reg::find;
 
 /// Ext-A as a registry [`Experiment`].
@@ -61,7 +61,7 @@ impl Experiment for ExtYieldRedundancyExperiment {
         let circuit = params.str("circuit");
         let info = find(circuit)
             .map_err(|_| ExpError::Usage(format!("--circuit: {circuit:?} is not registered")))?;
-        let cover = info.cover(params.seed);
+        let cover = info.cover(params.campaign.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         reporter.line(format!(
             "circuit: {circuit} (P = {}, optimum rows = {}, cols = {})",
@@ -84,14 +84,14 @@ impl Experiment for ExtYieldRedundancyExperiment {
                             let result = estimate_yield(
                                 &fm,
                                 &YieldConfig {
-                                    defect_rate: rate,
-                                    stuck_closed_fraction,
-                                    spare_rows: spare,
-                                    samples: params.samples,
+                                    campaign: Campaign {
+                                        seed,
+                                        defect_rate: rate,
+                                        ..params.campaign
+                                    },
                                     mapper,
-                                    seed,
-                                    stream: params.sample_stream(),
-                                    model: params.defect_model(),
+                                    spare_rows: spare,
+                                    stuck_closed_fraction,
                                 },
                             );
                             (spare, result.successes as u64, result.samples as u64)
@@ -102,12 +102,12 @@ impl Experiment for ExtYieldRedundancyExperiment {
                 .collect()
         };
 
-        let open = sweep(&OPEN_RATES, 0.0, MapperKind::Hybrid, params.seed);
+        let open = sweep(&OPEN_RATES, 0.0, MapperKind::Hybrid, params.campaign.seed);
         let closed = sweep(
             &CLOSED_RATES,
             0.3,
             MapperKind::Exact,
-            params.seed ^ 0xC105ED,
+            params.campaign.seed ^ 0xC105ED,
         );
 
         let spare_headers: Vec<String> = SPARES.iter().map(|s| format!("spare {s}")).collect();

@@ -7,7 +7,6 @@
 //! 33%). Cost ranges in the published plots imply product counts of
 //! roughly 2..n−1, which is the workload generated here.
 
-use crate::cli::ExpArgs;
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
@@ -17,7 +16,7 @@ use crate::shard::json::Json;
 use crate::table::{pct, Table};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use xbar_core::TwoLevelLayout;
+use xbar_core::{Campaign, TwoLevelLayout};
 use xbar_logic::RandomSopSpec;
 use xbar_netlist::{map_cover, MapOptions, MultiLevelCost};
 
@@ -69,9 +68,10 @@ pub fn published_success_rate(input_size: usize) -> Option<f64> {
 
 /// Runs one Fig. 6 series.
 #[must_use]
-pub fn run_series(input_size: usize, args: &ExpArgs) -> Fig6Series {
+pub fn run_series(input_size: usize, campaign: &Campaign) -> Fig6Series {
     let n = input_size;
-    let mut points: Vec<Fig6Point> = monte_carlo(args.samples, args.seed ^ n as u64, |_, seed| {
+    let mc_seed = campaign.seed ^ n as u64;
+    let mut points: Vec<Fig6Point> = monte_carlo(campaign.samples, mc_seed, |_, seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         // Product count uniform on [2, n-1] (see module docs).
         let products = rng.random_range(2..=(n - 1).max(2));
@@ -105,8 +105,11 @@ pub fn run_series(input_size: usize, args: &ExpArgs) -> Fig6Series {
 
 /// Runs the figure's four input sizes (or custom ones).
 #[must_use]
-pub fn run_fig6(args: &ExpArgs, input_sizes: &[usize]) -> Vec<Fig6Series> {
-    input_sizes.iter().map(|&n| run_series(n, args)).collect()
+pub fn run_fig6(campaign: &Campaign, input_sizes: &[usize]) -> Vec<Fig6Series> {
+    input_sizes
+        .iter()
+        .map(|&n| run_series(n, campaign))
+        .collect()
 }
 
 /// Fig. 6 as a registry [`Experiment`]: two-level vs multi-level Monte
@@ -145,8 +148,7 @@ impl Experiment for Fig6Experiment {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let args = params.exp_args();
-        let series = run_fig6(&args, &input_sizes);
+        let series = run_fig6(&params.campaign, &input_sizes);
 
         let mut summary = Table::new(
             "Fig. 6 — success rate (% of samples with multi-level < two-level)",
@@ -220,18 +222,17 @@ impl Experiment for Fig6Experiment {
 mod tests {
     use super::*;
 
-    fn quick_args() -> ExpArgs {
-        ExpArgs {
+    fn quick_campaign() -> Campaign {
+        Campaign {
             samples: 60,
             seed: 11,
-            defect_rate: 0.1,
-            ..ExpArgs::default()
+            ..Campaign::default()
         }
     }
 
     #[test]
     fn two_level_cost_is_flat_per_product_count() {
-        let series = run_series(8, &quick_args());
+        let series = run_series(8, &quick_campaign());
         for p in &series.points {
             assert_eq!(p.two_level, (p.products + 1) * 18);
         }
@@ -244,12 +245,12 @@ mod tests {
     #[test]
     fn success_rate_declines_with_input_size() {
         // The paper's headline trend: 65% at n=8 down to 33% at n=15.
-        let args = ExpArgs {
+        let campaign = Campaign {
             samples: 120,
-            ..quick_args()
+            ..quick_campaign()
         };
-        let small = run_series(8, &args);
-        let large = run_series(15, &args);
+        let small = run_series(8, &campaign);
+        let large = run_series(15, &campaign);
         assert!(
             small.success_rate > large.success_rate,
             "n=8 {:.2} should beat n=15 {:.2}",
@@ -260,12 +261,12 @@ mod tests {
 
     #[test]
     fn success_rates_are_in_the_papers_ballpark() {
-        let args = ExpArgs {
+        let campaign = Campaign {
             samples: 150,
-            ..quick_args()
+            ..quick_campaign()
         };
         for n in [8, 15] {
-            let series = run_series(n, &args);
+            let series = run_series(n, &campaign);
             let published = series.published_success_rate.expect("published");
             assert!(
                 (series.success_rate - published).abs() < 0.30,
@@ -284,11 +285,11 @@ mod tests {
         // (connection columns grow with the product count faster than
         // factoring can recover) — recorded as a deviation in
         // EXPERIMENTS.md. Assert the paper-matching regime.
-        let args = ExpArgs {
+        let campaign = Campaign {
             samples: 300,
-            ..quick_args()
+            ..quick_campaign()
         };
-        let series = run_series(8, &args);
+        let series = run_series(8, &campaign);
         let half = series.points.len() / 2;
         let low: f64 = series.points[..half]
             .iter()

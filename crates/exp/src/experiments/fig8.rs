@@ -9,7 +9,7 @@ use crate::shard::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xbar_assign::{munkres, CostMatrix};
-use xbar_core::{row_compatible, DefectSampler, FunctionMatrix};
+use xbar_core::{row_compatible, FunctionMatrix};
 
 /// Fig. 8 as a registry [`Experiment`].
 #[derive(Debug, Clone, Copy)]
@@ -32,15 +32,14 @@ impl Experiment for Fig8Experiment {
     }
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
+        let campaign = &params.campaign;
         let cover = fig7_cover();
         let fm = FunctionMatrix::from_cover(&cover);
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let cm = DefectSampler::new(params.sample_stream()).sample(
-            fm.num_rows(),
-            fm.num_cols(),
-            params.defect_rate,
-            &mut rng,
-        );
+        let mut rng = StdRng::seed_from_u64(campaign.seed);
+        let cm =
+            campaign
+                .sampler()
+                .sample(fm.num_rows(), fm.num_cols(), campaign.defect_rate, &mut rng);
 
         let label = |f: usize| {
             if f < fm.num_minterms() {

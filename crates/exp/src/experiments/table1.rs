@@ -171,7 +171,7 @@ impl Experiment for Table1Experiment {
     }
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
-        let rows = run_table1(params.seed);
+        let rows = run_table1(params.campaign.seed);
 
         let mut table = Table::new(
             "Table I — two-level vs multi-level area (original | negation)",

@@ -8,7 +8,6 @@
 //! merges the partials — by construction the integer statistics agree
 //! bit-for-bit.
 
-use crate::cli::ExpArgs;
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, UsageError, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM,
@@ -20,7 +19,7 @@ use crate::table::{pct, secs, Table};
 use std::ops::Range;
 use std::time::Instant;
 use xbar_core::stats::{Moments, SuccessCount};
-use xbar_core::{CrossbarMatrix, DefectSampler, FunctionMatrix, MatchEngine, TwoLevelLayout};
+use xbar_core::{Campaign, CrossbarMatrix, FunctionMatrix, MatchEngine, TwoLevelLayout};
 use xbar_logic::bench_reg::{find, registry, BenchmarkInfo};
 use xbar_logic::Cover;
 
@@ -114,22 +113,26 @@ pub fn mc_seed(experiment_seed: u64) -> u64 {
 /// Folds the Table II Monte Carlo trials with **global** sample indices
 /// `range` for one circuit — the shard-capable core of [`run_circuit`].
 /// The full sample count never appears here: per-sample seeds depend only
-/// on `(mc_seed(args.seed), index)`, so any contiguous partition of
+/// on `(mc_seed(campaign.seed), index)`, so any contiguous partition of
 /// `0..samples` merges back to the monolithic accumulator.
 #[must_use]
 pub fn run_circuit_range(
     info: &BenchmarkInfo,
-    args: &ExpArgs,
+    campaign: &Campaign,
     range: Range<usize>,
 ) -> CircuitAccum {
-    run_circuit_range_on(&info.mapping_cover(args.seed), args, range)
+    run_circuit_range_on(&info.mapping_cover(campaign.seed), campaign, range)
 }
 
 /// [`run_circuit_range`] with the cover already minimized — lets callers
 /// that need both the accumulator and the layout pay for
 /// [`BenchmarkInfo::mapping_cover`] (a potentially full minimization) once.
 #[must_use]
-pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) -> CircuitAccum {
+pub fn run_circuit_range_on(
+    cover: &Cover,
+    campaign: &Campaign,
+    range: Range<usize>,
+) -> CircuitAccum {
     let fm = FunctionMatrix::from_cover(cover);
     let rows = fm.num_rows();
     let cols = fm.num_cols();
@@ -138,7 +141,7 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
     // `prepare_fm` — the per-campaign half of the bitplane adjacency
     // build) plus one crossbar matrix it resamples per trial: the hot
     // loop performs zero heap allocations. Sampling goes through the
-    // campaign's stream-selected [`DefectSampler`]: under V1 it consumes
+    // campaign's stream-selected `DefectSampler`: under V1 it consumes
     // the per-sample RNG exactly like `sample_stuck_open`, keeping the
     // statistics bit-identical to the pre-engine implementation; V2 pins
     // its own golden values. Non-default spatial models dispatch through
@@ -150,10 +153,10 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
     // per-worker accumulators (nothing per-sample is materialized, so
     // memory stays flat at any sample count); success counters are
     // merge-exact, so the worker count never shows in the statistics.
-    let sampler = DefectSampler::with_model(args.stream, args.model);
+    let sampler = campaign.sampler();
     monte_carlo_range_fold(
         range,
-        mc_seed(args.seed),
+        mc_seed(campaign.seed),
         || {
             let mut engine = MatchEngine::new();
             engine.prepare_fm(&fm);
@@ -162,7 +165,7 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
         CircuitAccum::new,
         |accum, (engine, cm), _, seed| {
             let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed);
-            sampler.resample(cm, args.defect_rate, &mut rng);
+            sampler.resample(cm, campaign.defect_rate, &mut rng);
             let t0 = Instant::now();
             let (hba_ok, _) = engine.hybrid_success(&fm, cm);
             let hba_secs = t0.elapsed().as_secs_f64();
@@ -202,21 +205,10 @@ pub fn row_from_accum(info: &BenchmarkInfo, cover: &Cover, accum: &CircuitAccum)
 
 /// Runs the Table II experiment for one circuit.
 #[must_use]
-pub fn run_circuit(info: &BenchmarkInfo, args: &ExpArgs) -> Table2Row {
-    let cover = info.mapping_cover(args.seed);
-    let accum = run_circuit_range_on(&cover, args, 0..args.samples);
+pub fn run_circuit(info: &BenchmarkInfo, campaign: &Campaign) -> Table2Row {
+    let cover = info.mapping_cover(campaign.seed);
+    let accum = run_circuit_range_on(&cover, campaign, 0..campaign.samples);
     row_from_accum(info, &cover, &accum)
-}
-
-/// Runs the full Table II (all 16 circuits, or a named subset).
-#[must_use]
-pub fn run_table2(args: &ExpArgs, subset: Option<&[&str]>) -> Vec<Table2Row> {
-    registry()
-        .iter()
-        .filter(|info| info.hba.is_some())
-        .filter(|info| subset.is_none_or(|names| names.contains(&info.name)))
-        .map(|info| run_circuit(info, args))
-        .collect()
 }
 
 /// The circuits eligible for Table II (those with published HBA numbers),
@@ -293,12 +285,12 @@ impl Experiment for Table2Experiment {
 
     fn run(&self, params: &Params, reporter: &mut Reporter) -> Result<Artifact, ExpError> {
         let circuits = resolve_circuit_subset(params.list("circuits"))?;
-        let args = params.exp_args();
+        let campaign = &params.campaign;
         reporter.line(format!(
             "running {} samples/circuit at defect rate {:.0}% (seed {})...",
-            args.samples,
-            args.defect_rate * 100.0,
-            args.seed
+            campaign.samples,
+            campaign.defect_rate * 100.0,
+            campaign.seed
         ));
         // Fold per circuit keeping the integer accumulators: the artifact
         // carries exact success counts, not rates reconstructed from f64s.
@@ -306,8 +298,8 @@ impl Experiment for Table2Experiment {
         let mut accums = Vec::with_capacity(circuits.len());
         for name in &circuits {
             let info = find(name).expect("subset resolved against the registry");
-            let cover = info.mapping_cover(args.seed);
-            let accum = run_circuit_range_on(&cover, &args, 0..args.samples);
+            let cover = info.mapping_cover(campaign.seed);
+            let accum = run_circuit_range_on(&cover, campaign, 0..campaign.samples);
             rows.push(row_from_accum(info, &cover, &accum));
             accums.push(accum);
         }
@@ -446,19 +438,19 @@ mod tests {
     use super::*;
     use xbar_logic::bench_reg::find;
 
-    fn quick_args() -> ExpArgs {
-        ExpArgs {
+    fn quick_campaign() -> Campaign {
+        Campaign {
             samples: 40,
             seed: 5,
             defect_rate: 0.10,
-            ..ExpArgs::default()
+            ..Campaign::default()
         }
     }
 
     #[test]
     fn small_easy_circuit_maps_nearly_always() {
         // misex1: published 100%/100% at 10% defects.
-        let row = run_circuit(find("misex1").expect("registered"), &quick_args());
+        let row = run_circuit(find("misex1").expect("registered"), &quick_campaign());
         assert_eq!(row.area, 570);
         assert!(row.hba_success >= 0.9, "hba {}", row.hba_success);
         assert!(row.ea_success >= row.hba_success);
@@ -467,7 +459,7 @@ mod tests {
     #[test]
     fn rd73_shows_the_hba_ea_gap_direction() {
         // Published: HBA 78%, EA 92% — EA must not be below HBA.
-        let row = run_circuit(find("rd73").expect("registered"), &quick_args());
+        let row = run_circuit(find("rd73").expect("registered"), &quick_campaign());
         assert!(row.ea_success >= row.hba_success);
         assert_eq!(row.area_published, 2600);
         assert_eq!(row.products, 127, "exact rd73 minimizes to 127 products");
@@ -481,13 +473,13 @@ mod tests {
         // than EA at ex1010's size, so accept a generous ratio and retry a
         // few times — a genuine regression fails all attempts, while a
         // one-off stall passes on the next.
-        let args = ExpArgs {
+        let campaign = Campaign {
             samples: 5,
-            ..quick_args()
+            ..quick_campaign()
         };
         let mut observed = Vec::new();
         for _ in 0..3 {
-            let row = run_circuit(find("ex1010").expect("registered"), &args);
+            let row = run_circuit(find("ex1010").expect("registered"), &campaign);
             if row.hba_time < row.ea_time * 1.5 {
                 return;
             }
@@ -497,29 +489,16 @@ mod tests {
     }
 
     #[test]
-    fn subset_filter_works() {
-        let rows = run_table2(
-            &ExpArgs {
-                samples: 5,
-                ..quick_args()
-            },
-            Some(&["rd53", "bw"]),
-        );
-        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["rd53", "bw"]);
-    }
-
-    #[test]
     fn sharded_ranges_merge_to_the_monolithic_accumulator_counts() {
         let info = find("rd53").expect("registered");
-        let args = ExpArgs {
+        let campaign = Campaign {
             samples: 30,
-            ..quick_args()
+            ..quick_campaign()
         };
-        let whole = run_circuit_range(info, &args, 0..30);
+        let whole = run_circuit_range(info, &campaign, 0..30);
         let mut merged = CircuitAccum::new();
         for pair in [0usize, 7, 19, 30].windows(2) {
-            merged.merge(&run_circuit_range(info, &args, pair[0]..pair[1]));
+            merged.merge(&run_circuit_range(info, &campaign, pair[0]..pair[1]));
         }
         // Success decisions are seed-deterministic: integer-exact match.
         assert_eq!(merged.hba, whole.hba);

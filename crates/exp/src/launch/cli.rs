@@ -454,8 +454,8 @@ mod tests {
         // parses from the same campaign flags, so the rebuilt artifact
         // echoes the same `params` block.
         assert_eq!(args.params, run);
-        assert_eq!(args.params.samples, 30);
-        assert_eq!(args.params.seed, 7);
+        assert_eq!(args.params.campaign.samples, 30);
+        assert_eq!(args.params.campaign.seed, 7);
         assert_eq!(args.params.list("circuits"), ["rd53"]);
         assert_eq!(args.config.circuits, ["rd53"]);
     }

@@ -13,8 +13,8 @@
 //!
 //! Validation is *shared code*, not a re-implementation: every partial
 //! passes the same per-partial checks as the flat merge
-//! ([`validate_partial_for_merge`]) and the union of all slices must
-//! tile the campaign range exactly ([`check_exact_tiling`]) — which is
+//! (`validate_partial_for_merge`) and the union of all slices must
+//! tile the campaign range exactly (`check_exact_tiling`) — which is
 //! precisely the backstop that discards a hedge loser's duplicate
 //! partial: two partials for one slice can never tile.
 
@@ -106,16 +106,11 @@ mod tests {
     use super::*;
     use crate::shard::coordinator::render_stats_json;
     use crate::shard::{run_shard, ShardSpec};
-    use xbar_core::{DefectModelSpec, SampleStream};
 
     fn config() -> McConfig {
         McConfig {
-            samples: 24,
-            seed: 9,
-            defect_rate: 0.1,
-            stream: SampleStream::V1,
-            model: DefectModelSpec::default(),
             circuits: vec!["rd53".to_owned()],
+            ..McConfig::with_default_circuits(24, 9, 0.1)
         }
     }
 
@@ -170,7 +165,7 @@ mod tests {
         assert!(err.contains("not tiled"), "{err}");
 
         let mut parts = partials(&config, 3);
-        parts[2].config.seed ^= 1;
+        parts[2].config.campaign.seed ^= 1;
         let assigned: Vec<(String, ShardPartial)> = parts
             .iter()
             .enumerate()

@@ -53,7 +53,7 @@ pub mod service;
 pub mod shard;
 mod table;
 
-pub use cli::{run_cli, ExpArgs};
+pub use cli::run_cli;
 pub use experiment::{
     find_experiment, registry, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
@@ -63,3 +63,8 @@ pub use mc::{
 };
 pub use shard::{McConfig, ShardSpec};
 pub use table::{pct, secs, Table};
+
+/// The sampling campaign, under the name callers written against the
+/// earlier bridge type use.
+#[doc(hidden)]
+pub type ExpArgs = xbar_core::Campaign;

@@ -288,12 +288,12 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     match &args.mode {
         Mode::Submit {
             experiment,
-            args: exp_args,
+            args: argv,
         } => submit_and_follow(
             args,
             &Request::Submit {
                 experiment: experiment.clone(),
-                args: exp_args.clone(),
+                args: argv.clone(),
                 wait: args.wait,
             },
         ),

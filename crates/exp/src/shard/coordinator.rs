@@ -285,7 +285,7 @@ pub fn backoff_delay(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 /// Renders the `campaign.json` manifest. `hosts` is the runner's host
 /// attribution (`"name*slots"` per entry) — informational provenance for
 /// a resumed run, rendered only when non-empty. It deliberately does NOT
-/// participate in [`campaign_mismatch`]: the same campaign may be resumed
+/// participate in the campaign mismatch check: the same campaign may be resumed
 /// with a different host fleet, and manifests written before host
 /// attribution existed still resume.
 pub fn render_campaign_manifest(config: &McConfig, shards: usize, hosts: &[String]) -> String {
@@ -632,12 +632,8 @@ mod tests {
 
     fn config() -> McConfig {
         McConfig {
-            samples: 20,
-            seed: 5,
-            defect_rate: 0.1,
-            stream: SampleStream::V1,
-            model: DefectModelSpec::default(),
             circuits: vec!["rd53".to_owned()],
+            ..McConfig::with_default_circuits(20, 5, 0.1)
         }
     }
 
@@ -688,7 +684,7 @@ mod tests {
     fn merge_rejects_seed_mismatch() {
         let config = config();
         let mut partials = partials_for(&config, 2);
-        partials[1].config.seed ^= 1;
+        partials[1].config.campaign.seed ^= 1;
         let err = merge_partials(&config, &partials).expect_err("must fail");
         assert!(err.contains("seed"), "{err}");
     }
@@ -700,17 +696,15 @@ mod tests {
         // silently, so the coordinator must refuse.
         let config = config();
         let mut partials = partials_for(&config, 2);
-        partials[1].config.stream = SampleStream::V2;
+        partials[1].config.campaign.stream = SampleStream::V2;
         let err = merge_partials(&config, &partials).expect_err("must fail");
         assert!(err.contains("rng stream"), "{err}");
     }
 
     #[test]
     fn v2_merge_matches_v2_monolithic_and_declares_its_stream() {
-        let config = McConfig {
-            stream: SampleStream::V2,
-            ..self::config()
-        };
+        let mut config = self::config();
+        config.campaign.stream = SampleStream::V2;
         let mono = render_stats_json(&run_monolithic(&config));
         assert!(mono.contains("\"rng_stream\": \"v2\""), "{mono}");
         let merged = merge_partials(&config, &partials_for(&config, 3)).expect("merges");
@@ -724,17 +718,15 @@ mod tests {
         // campaign would corrupt the artifact silently.
         let config = config();
         let mut partials = partials_for(&config, 2);
-        partials[1].config.model = clustered_model();
+        partials[1].config.campaign.model = clustered_model();
         let err = merge_partials(&config, &partials).expect_err("must fail");
         assert!(err.contains("defect model"), "{err}");
     }
 
     #[test]
     fn modeled_merge_matches_modeled_monolithic_and_declares_its_model() {
-        let config = McConfig {
-            model: clustered_model(),
-            ..self::config()
-        };
+        let mut config = self::config();
+        config.campaign.model = clustered_model();
         let mono = render_stats_json(&run_monolithic(&config));
         assert!(mono.contains("\"defect_model\": \"clustered\""), "{mono}");
         assert!(mono.contains("\"cluster_size\": 3.0"), "{mono}");
@@ -783,10 +775,8 @@ mod tests {
     #[test]
     fn empty_shards_merge_cleanly() {
         // More shards than samples: trailing shards are empty.
-        let config = McConfig {
-            samples: 2,
-            ..self::config()
-        };
+        let mut config = self::config();
+        config.campaign.samples = 2;
         let merged = merge_partials(&config, &partials_for(&config, 5)).expect("merges");
         assert_eq!(merged.circuits[0].1.samples(), 2);
     }
@@ -844,16 +834,47 @@ mod tests {
         assert!(campaign_mismatch(&config, 3, &back, shards).is_none());
 
         let mut other = config.clone();
-        other.defect_rate = 0.25;
+        other.campaign.defect_rate = 0.25;
         let diff = campaign_mismatch(&config, 3, &other, 3).expect("must differ");
         assert!(diff.contains("defect_rate"), "{diff}");
         let diff = campaign_mismatch(&config, 3, &config, 5).expect("must differ");
         assert!(diff.contains("shards"), "{diff}");
 
         let mut other = config.clone();
-        other.model = clustered_model();
+        other.campaign.model = clustered_model();
         let diff = campaign_mismatch(&config, 3, &other, 3).expect("must differ");
         assert!(diff.contains("defect_model"), "{diff}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The `campaign.json` reader answers an edited manifest with a
+        /// `Result`, never a panic. Each op overwrites or inserts a digit
+        /// or a piece of JSON punctuation, deletes a byte or truncates, so
+        /// many edited manifests stay well-formed and reach the identity
+        /// checks.
+        #[test]
+        fn campaign_manifest_reader_never_panics(
+            ops in proptest::collection::vec(0u64..u64::MAX, 1..6),
+        ) {
+            let mut config = config();
+            config.campaign.model = clustered_model();
+            let hosts = ["alpha*2".to_owned()];
+            let mut bytes = render_campaign_manifest(&config, 3, &hosts).into_bytes();
+            for op in ops {
+                let at = (op >> 16) as usize % (bytes.len() + 1);
+                let token = b"0123456789-.e\"{}[],:";
+                let byte = token[(op >> 8) as usize % token.len()];
+                match op % 4 {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at),
+                }
+            }
+            let _ = parse_campaign_manifest(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]
@@ -861,10 +882,9 @@ mod tests {
         let default_text = render_campaign_manifest(&config(), 3, &[]);
         assert!(!default_text.contains("defect_model"), "{default_text}");
 
-        let config = McConfig {
-            model: DefectModelSpec::new(DefectModelKind::Composite, 2.5, 0.125).expect("valid"),
-            ..self::config()
-        };
+        let mut config = self::config();
+        config.campaign.model =
+            DefectModelSpec::new(DefectModelKind::Composite, 2.5, 0.125).expect("valid");
         let text = render_campaign_manifest(&config, 3, &[]);
         assert!(text.contains("\"defect_model\": \"composite\""), "{text}");
         assert!(text.contains("\"cluster_size\": 2.5"), "{text}");
@@ -915,17 +935,13 @@ mod tests {
         let config = config();
         let dir = campaign_run_dir(Path::new("/w"), &config, 4);
         assert_eq!(dir, PathBuf::from("/w/run-seed5-n20-k4-v1"));
-        let v2 = McConfig {
-            stream: SampleStream::V2,
-            ..self::config()
-        };
+        let mut v2 = self::config();
+        v2.campaign.stream = SampleStream::V2;
         assert_ne!(campaign_run_dir(Path::new("/w"), &v2, 4), dir);
         // Non-default models get their own directory; the default keeps
         // the exact pre-model name (CI's resume smoke hardcodes it).
-        let clustered = McConfig {
-            model: clustered_model(),
-            ..self::config()
-        };
+        let mut clustered = self::config();
+        clustered.campaign.model = clustered_model();
         assert_eq!(
             campaign_run_dir(Path::new("/w"), &clustered, 4),
             PathBuf::from("/w/run-seed5-n20-k4-v1-clustered")

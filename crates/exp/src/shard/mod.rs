@@ -33,14 +33,13 @@ pub mod coordinator;
 pub mod json;
 pub mod partial;
 
-use crate::cli::ExpArgs;
 use crate::experiment::{Flags, ParamSpec, Params, UsageError, CAMPAIGN_PARAMS};
 use crate::experiments::table2::{
     resolve_circuit_subset, run_circuit_range, table2_circuit_names, CircuitAccum, TABLE2_PARAMS,
 };
 use json::Json;
-use std::ops::Range;
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
+use std::ops::{Deref, Range};
+use xbar_core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_logic::bench_reg::find;
 
 /// One contiguous slice of a Monte Carlo sample range.
@@ -102,39 +101,42 @@ impl ShardSpec {
     }
 }
 
-/// The experiment configuration every shard of a campaign must agree on.
+/// The experiment configuration every shard of a campaign must agree on:
+/// the sampling [`Campaign`] plus the circuits it runs. Reads of the
+/// campaign's fields go through `Deref` (`config.samples`).
+///
+/// Every shard must sample under the same campaign or the merged
+/// statistics would mix defect distributions; the runner rejects partials
+/// whose echoed campaign disagrees (through [`Campaign::mismatch`] plus a
+/// circuit-list comparison).
 #[derive(Debug, Clone, PartialEq)]
 pub struct McConfig {
-    /// Total Monte Carlo samples across all shards.
-    pub samples: usize,
-    /// Experiment seed (Table II derives its MC stream seed from this).
-    pub seed: u64,
-    /// Per-crosspoint stuck-open defect probability.
-    pub defect_rate: f64,
-    /// Defect sampling stream version. Every shard of a campaign must
-    /// sample under the same stream or the merged statistics would mix
-    /// two different defect distributions; the coordinator rejects
-    /// partials whose echoed stream disagrees with the campaign spec.
-    pub stream: SampleStream,
-    /// Spatial defect model. Campaign identity exactly like `stream`: every
-    /// shard must sample under the same model (and model parameters) or the
-    /// merged statistics would mix defect distributions; the coordinator
-    /// rejects partials whose echoed model disagrees with the campaign spec.
-    pub model: DefectModelSpec,
+    /// Samples, seed, defect rate, stream and spatial model.
+    pub campaign: Campaign,
     /// Registry circuits to simulate, in output order.
     pub circuits: Vec<String>,
 }
 
+impl Deref for McConfig {
+    type Target = Campaign;
+
+    fn deref(&self) -> &Campaign {
+        &self.campaign
+    }
+}
+
 impl McConfig {
-    /// Configuration with the default Table II circuit set (V1 stream).
+    /// The default campaign's stream and model over the default Table II
+    /// circuit set.
     #[must_use]
     pub fn with_default_circuits(samples: usize, seed: u64, defect_rate: f64) -> Self {
         Self {
-            samples,
-            seed,
-            defect_rate,
-            stream: SampleStream::V1,
-            model: DefectModelSpec::default(),
+            campaign: Campaign {
+                samples,
+                seed,
+                defect_rate,
+                ..Campaign::default()
+            },
             circuits: table2_circuit_names(),
         }
     }
@@ -168,27 +170,34 @@ impl McConfig {
         &self,
         manifest: Option<(usize, &[String])>,
     ) -> Vec<(&'static str, Json)> {
+        let Campaign {
+            samples,
+            seed,
+            defect_rate,
+            stream,
+            model,
+        } = self.campaign;
         let mut fields = vec![
-            ("seed", Json::u64(self.seed)),
-            ("defect_rate", Json::f64(self.defect_rate)),
-            ("samples", Json::usize(self.samples)),
+            ("seed", Json::u64(seed)),
+            ("defect_rate", Json::f64(defect_rate)),
+            ("samples", Json::usize(samples)),
         ];
         if let Some((shards, _)) = manifest {
             fields.push(("shards", Json::usize(shards)));
         }
-        if manifest.is_some() || self.stream != SampleStream::V1 {
-            fields.push(("rng_stream", Json::str(self.stream.as_str())));
+        if manifest.is_some() || stream != SampleStream::V1 {
+            fields.push(("rng_stream", Json::str(stream.as_str())));
         }
         if let Some((_, hosts)) = manifest.filter(|(_, hosts)| !hosts.is_empty()) {
             fields.push(("hosts", Json::arr(hosts.iter().map(Json::str))));
         }
-        if !self.model.is_default() {
-            fields.push(("defect_model", Json::str(self.model.kind().as_str())));
-            if self.model.uses_cluster() {
-                fields.push(("cluster_size", Json::f64(self.model.cluster_size())));
+        if !model.is_default() {
+            fields.push(("defect_model", Json::str(model.kind().as_str())));
+            if model.uses_cluster() {
+                fields.push(("cluster_size", Json::f64(model.cluster_size())));
             }
-            if self.model.uses_lines() {
-                fields.push(("line_rate", Json::f64(self.model.line_rate())));
+            if model.uses_lines() {
+                fields.push(("line_rate", Json::f64(model.line_rate())));
             }
         }
         fields
@@ -201,7 +210,8 @@ impl McConfig {
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped field.
+    /// Names the first missing or mistyped field, or the first field out
+    /// of [`Campaign::validate`]'s range.
     pub(crate) fn from_identity(
         doc: &Json,
         what: &str,
@@ -227,7 +237,7 @@ impl McConfig {
             f64_opt("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
             f64_opt("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
         )?;
-        Ok(Self {
+        let campaign = Campaign {
             samples: usize::try_from(u64_field("samples")?)
                 .map_err(|_| format!("{what} samples exceeds usize"))?,
             seed: u64_field("seed")?,
@@ -237,8 +247,9 @@ impl McConfig {
                 .ok_or_else(|| format!("{what} missing f64 `defect_rate`"))?,
             stream: str_opt("rng_stream")?.map_or(Ok(SampleStream::V1), SampleStream::parse)?,
             model,
-            circuits,
-        })
+        };
+        campaign.validate().map_err(|e| format!("{what} {e}"))?;
+        Ok(Self { campaign, circuits })
     }
 
     /// The campaign `xbar run table2` runs for `params` (parsed against
@@ -253,11 +264,7 @@ impl McConfig {
     pub fn from_params(params: &Params) -> Result<Self, UsageError> {
         let circuits = resolve_circuit_subset(params.list("circuits"))?;
         Ok(Self {
-            samples: params.samples,
-            seed: params.seed,
-            defect_rate: params.defect_rate,
-            stream: params.sample_stream(),
-            model: params.defect_model(),
+            campaign: params.campaign,
             circuits,
         })
     }
@@ -269,26 +276,33 @@ impl McConfig {
     /// keeps the argv it had before spatial models existed.
     #[must_use]
     pub fn to_argv(&self) -> Vec<String> {
+        let Campaign {
+            samples,
+            seed,
+            defect_rate,
+            stream,
+            model,
+        } = self.campaign;
         let mut args = vec![
             "--samples".to_owned(),
-            self.samples.to_string(),
+            samples.to_string(),
             "--seed".to_owned(),
-            self.seed.to_string(),
+            seed.to_string(),
             "--defect-rate".to_owned(),
-            format!("{:?}", self.defect_rate),
+            format!("{defect_rate:?}"),
             "--rng-stream".to_owned(),
-            self.stream.as_str().to_owned(),
+            stream.as_str().to_owned(),
         ];
-        if !self.model.is_default() {
+        if !model.is_default() {
             args.push("--defect-model".to_owned());
-            args.push(self.model.kind().as_str().to_owned());
-            if self.model.uses_cluster() {
+            args.push(model.kind().as_str().to_owned());
+            if model.uses_cluster() {
                 args.push("--cluster-size".to_owned());
-                args.push(format!("{:?}", self.model.cluster_size()));
+                args.push(format!("{:?}", model.cluster_size()));
             }
-            if self.model.uses_lines() {
+            if model.uses_lines() {
                 args.push("--line-rate".to_owned());
-                args.push(format!("{:?}", self.model.line_rate()));
+                args.push(format!("{:?}", model.line_rate()));
             }
         }
         args.push("--circuits".to_owned());
@@ -296,34 +310,13 @@ impl McConfig {
         args
     }
 
-    /// How this campaign differs from `expected`: one `field found !=
-    /// expected` entry per differing identity field, empty when both
-    /// describe the same campaign. Partials, checkpoints and run
-    /// directories are all checked through this one comparison.
+    /// How this campaign differs from `expected`: the
+    /// [`Campaign::mismatch`] entries, then one for the circuit list;
+    /// empty when both describe the same campaign. Partials, checkpoints
+    /// and run directories are all checked through this one comparison.
     #[must_use]
     pub(crate) fn mismatch(&self, expected: &McConfig) -> Vec<String> {
-        let mut diffs = Vec::new();
-        if self.samples != expected.samples {
-            diffs.push(format!("samples {} != {}", self.samples, expected.samples));
-        }
-        if self.seed != expected.seed {
-            diffs.push(format!("seed {} != {}", self.seed, expected.seed));
-        }
-        if self.defect_rate.to_bits() != expected.defect_rate.to_bits() {
-            diffs.push(format!(
-                "defect_rate {} != {}",
-                self.defect_rate, expected.defect_rate
-            ));
-        }
-        if self.stream != expected.stream {
-            diffs.push(format!("rng stream {} != {}", self.stream, expected.stream));
-        }
-        if self.model != expected.model {
-            diffs.push(format!(
-                "defect_model {} != {} (sampled under another spatial defect model)",
-                self.model, expected.model
-            ));
-        }
+        let mut diffs = self.campaign.mismatch(&expected.campaign);
         if self.circuits != expected.circuits {
             diffs.push(format!(
                 "circuits {:?} != {:?}",
@@ -333,17 +326,12 @@ impl McConfig {
         diffs
     }
 
-    /// The equivalent single-process experiment arguments.
+    /// The sampling campaign, for callers written against the earlier
+    /// bridge type.
+    #[doc(hidden)]
     #[must_use]
-    pub fn exp_args(&self) -> ExpArgs {
-        ExpArgs {
-            samples: self.samples,
-            seed: self.seed,
-            defect_rate: self.defect_rate,
-            stream: self.stream,
-            model: self.model,
-            csv: None,
-        }
+    pub fn exp_args(&self) -> Campaign {
+        self.campaign
     }
 }
 
@@ -380,13 +368,15 @@ pub(crate) fn campaign(flags: &Flags) -> Result<(Params, McConfig), UsageError> 
 /// [`McConfig::validate`] first at process boundaries).
 #[must_use]
 pub fn run_shard(config: &McConfig, spec: &ShardSpec) -> partial::ShardPartial {
-    let args = config.exp_args();
     let circuits = config
         .circuits
         .iter()
         .map(|name| {
             let info = find(name).expect("validated circuit name");
-            (name.clone(), run_circuit_range(info, &args, spec.range()))
+            (
+                name.clone(),
+                run_circuit_range(info, &config.campaign, spec.range()),
+            )
         })
         .collect::<Vec<(String, CircuitAccum)>>();
     partial::ShardPartial {
@@ -458,8 +448,7 @@ mod tests {
             "rd53,bw",
         ])
         .expect("parses");
-        assert_eq!(config.samples, 50);
-        assert_eq!(config.seed, 9);
+        assert_eq!((config.samples, config.seed), (50, 9));
         assert_eq!(config.defect_rate.to_bits(), 0.25f64.to_bits());
         assert_eq!(config.circuits, ["rd53", "bw"]);
 
@@ -480,11 +469,13 @@ mod tests {
         let config = McConfig::with_default_circuits(10, 1, 0.1);
         assert!(config.mismatch(&config).is_empty());
         let other = McConfig {
-            samples: 11,
-            seed: 2,
-            defect_rate: 0.2,
-            stream: SampleStream::V2,
-            model: DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.5).expect("valid"),
+            campaign: Campaign {
+                samples: 11,
+                seed: 2,
+                defect_rate: 0.2,
+                stream: SampleStream::V2,
+                model: DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.5).expect("valid"),
+            },
             circuits: vec!["rd53".to_owned()],
         };
         let diffs = other.mismatch(&config).join(", ");

@@ -255,12 +255,9 @@ mod tests {
         other.push(true, 0.5, true, 0.25);
         ShardPartial {
             config: McConfig {
-                samples: 100,
-                seed: u64::MAX - 41, // above 2^53: must survive the file
-                defect_rate: 0.1,
-                stream: SampleStream::V1,
-                model: DefectModelSpec::default(),
                 circuits: vec!["rd53".to_owned(), "misex1".to_owned()],
+                // A seed above 2^53 must survive the file.
+                ..McConfig::with_default_circuits(100, u64::MAX - 41, 0.1)
             },
             spec: ShardSpec {
                 index: 1,
@@ -298,7 +295,7 @@ mod tests {
         assert!(!v1.to_json().contains("rng_stream"));
 
         let mut v2 = sample_partial();
-        v2.config.stream = SampleStream::V2;
+        v2.config.campaign.stream = SampleStream::V2;
         let json = v2.to_json();
         assert!(json.contains("\"rng_stream\": \"v2\""), "{json}");
         let back = ShardPartial::from_json(&json).expect("parses");
@@ -319,7 +316,7 @@ mod tests {
         }
 
         let mut clustered = sample_partial();
-        clustered.config.model =
+        clustered.config.campaign.model =
             DefectModelSpec::new(DefectModelKind::Clustered, 6.5, 0.5).expect("valid");
         let json = clustered.to_json();
         assert!(json.contains("\"defect_model\": \"clustered\""), "{json}");
@@ -330,7 +327,7 @@ mod tests {
         assert_eq!(back.to_json(), json);
 
         let mut composite = sample_partial();
-        composite.config.model =
+        composite.config.campaign.model =
             DefectModelSpec::new(DefectModelKind::Composite, 2.0, 0.125).expect("valid");
         let json = composite.to_json();
         assert!(json.contains("\"cluster_size\": 2.0"), "{json}");
@@ -343,7 +340,7 @@ mod tests {
     #[test]
     fn unknown_defect_model_is_rejected() {
         let mut lines = sample_partial();
-        lines.config.model =
+        lines.config.campaign.model =
             DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.25).expect("valid");
         let json = lines.to_json().replace("\"lines\"", "\"blobs\"");
         let err = ShardPartial::from_json(&json).expect_err("must fail");
@@ -354,7 +351,8 @@ mod tests {
     fn model_mismatch_is_rejected_by_the_config_echo() {
         let partial = sample_partial();
         let mut other = partial.config.clone();
-        other.model = DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.02).expect("valid");
+        other.campaign.model =
+            DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.02).expect("valid");
         let err = partial.validate_config_echo(&other).expect_err("must fail");
         assert!(err.contains("defect model"), "{err}");
     }
@@ -362,7 +360,7 @@ mod tests {
     #[test]
     fn unknown_rng_stream_is_rejected() {
         let mut v2 = sample_partial();
-        v2.config.stream = SampleStream::V2;
+        v2.config.campaign.stream = SampleStream::V2;
         let json = v2.to_json().replace("\"v2\"", "\"v9\"");
         let err = ShardPartial::from_json(&json).expect_err("must fail");
         assert!(err.contains("v9"), "{err}");
@@ -372,12 +370,8 @@ mod tests {
     fn zero_sample_shard_roundtrips_nan_free() {
         let partial = ShardPartial {
             config: McConfig {
-                samples: 2,
-                seed: 7,
-                defect_rate: 0.1,
-                stream: SampleStream::V1,
-                model: DefectModelSpec::default(),
                 circuits: vec!["rd53".to_owned()],
+                ..McConfig::with_default_circuits(2, 7, 0.1)
             },
             spec: ShardSpec {
                 index: 4,
@@ -414,12 +408,8 @@ mod tests {
     fn validate_for_accepts_the_matching_slice_and_rejects_everything_else() {
         // A real shard: 33 samples folded into each circuit accumulator.
         let config = McConfig {
-            samples: 100,
-            seed: 9,
-            defect_rate: 0.1,
-            stream: SampleStream::V1,
-            model: DefectModelSpec::default(),
             circuits: vec!["rd53".to_owned()],
+            ..McConfig::with_default_circuits(100, 9, 0.1)
         };
         let spec = ShardSpec {
             index: 1,
@@ -445,14 +435,14 @@ mod tests {
         assert!(err.contains("expected"), "{err}");
 
         let mut other_config = config.clone();
-        other_config.seed = 10;
+        other_config.campaign.seed = 10;
         let err = partial
             .validate_for(&other_config, &spec)
             .expect_err("seed");
         assert!(err.contains("seed"), "{err}");
 
         let mut other_config = config.clone();
-        other_config.stream = SampleStream::V2;
+        other_config.campaign.stream = SampleStream::V2;
         let err = partial
             .validate_for(&other_config, &spec)
             .expect_err("stream");

@@ -492,6 +492,47 @@ fn usage_problems_exit_2_with_help_not_a_backtrace() {
     }
 }
 
+/// Mixed stuck-open/stuck-closed sampling draws i.i.d. device cells
+/// whatever the model, so `estimate_yield` refuses a spatial model there
+/// instead of labelling its artifact with a model it never sampled.
+#[test]
+fn estimate_yield_refuses_a_spatial_model_with_stuck_closed_defects() {
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "run",
+            "estimate_yield",
+            "--circuit",
+            "rd53",
+            "--samples",
+            "10",
+            "--json",
+        ];
+        args.extend(extra);
+        xbar(&args)
+    };
+    for model in [
+        &["--defect-model", "clustered"][..],
+        &["--defect-model", "lines", "--line-rate", "0.3"][..],
+    ] {
+        let out = run(&[&["--stuck-closed-fraction", "0.02"][..], model].concat());
+        assert_eq!(out.status.code(), Some(2), "{model:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        let first = err.lines().next().unwrap_or_default();
+        assert!(
+            first.contains("--defect-model") && first.contains("--stuck-closed-fraction"),
+            "{model:?}: {err}"
+        );
+    }
+    // Each half alone still runs.
+    for extra in [
+        &["--stuck-closed-fraction", "0.02"][..],
+        &["--defect-model", "lines", "--stuck-closed-fraction", "0"][..],
+    ] {
+        let out = run(extra);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {}", stderr(&out));
+    }
+}
+
 #[test]
 fn describe_and_help_exit_0() {
     for args in [

@@ -3,7 +3,7 @@
 //! V2 campaign under the composite model with host attribution. Any
 //! change to how these documents are written must keep these bytes.
 
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
+use xbar_core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_exp::experiments::table2::CircuitAccum;
 use xbar_exp::shard::coordinator::{render_campaign_manifest, render_stats_json, MergedResult};
 use xbar_exp::shard::partial::ShardPartial;
@@ -23,22 +23,23 @@ fn accums() -> Vec<(String, CircuitAccum)> {
 
 fn default_config() -> McConfig {
     McConfig {
-        samples: 9,
-        seed: 2018,
-        defect_rate: 0.1,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
+        campaign: Campaign {
+            samples: 9,
+            ..Campaign::default()
+        },
         circuits: vec!["rd53".to_owned(), "misex1".to_owned()],
     }
 }
 
 fn modeled_config() -> McConfig {
     McConfig {
-        samples: 9,
-        seed: u64::MAX - 41,
-        defect_rate: 0.05,
-        stream: SampleStream::V2,
-        model: DefectModelSpec::new(DefectModelKind::Composite, 2.5, 0.125).expect("valid"),
+        campaign: Campaign {
+            samples: 9,
+            seed: u64::MAX - 41,
+            defect_rate: 0.05,
+            stream: SampleStream::V2,
+            model: DefectModelSpec::new(DefectModelKind::Composite, 2.5, 0.125).expect("valid"),
+        },
         circuits: vec!["rd53".to_owned(), "misex1".to_owned()],
     }
 }

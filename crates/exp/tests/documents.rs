@@ -8,7 +8,7 @@
 //! dispatched to a worker with.
 
 use proptest::prelude::*;
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
+use xbar_core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_exp::experiment::{find_experiment, Params, Reporter};
 use xbar_exp::experiments::table2::{table2_circuit_names, CircuitAccum};
 use xbar_exp::service::protocol::response;
@@ -69,11 +69,13 @@ proptest! {
     ) {
         let stream = if v2 { SampleStream::V2 } else { SampleStream::V1 };
         let config = McConfig {
-            samples: 4,
-            seed,
-            defect_rate: 0.1,
-            stream,
-            model: model(kind, cluster, lines),
+            campaign: Campaign {
+                samples: 4,
+                seed,
+                stream,
+                model: model(kind, cluster, lines),
+                ..Campaign::default()
+            },
             circuits: subset(&table2_circuit_names(), table2_mask),
         };
         let accums: Vec<(String, CircuitAccum)> = config
@@ -111,7 +113,9 @@ proptest! {
         let quick: Vec<String> = QUICK_CIRCUITS.iter().map(|c| (*c).to_owned()).collect();
         let config = McConfig { circuits: subset(&quick, quick_mask), ..config };
         let exp = find_experiment("table2").expect("registered");
-        let argv = McConfig { samples: 2, ..config.clone() }.to_argv();
+        let mut small = config.clone();
+        small.campaign.samples = 2;
+        let argv = small.to_argv();
         let params = Params::parse(exp.extra_params(), argv.clone()).expect("params");
         let artifact = exp
             .run(&params, &mut Reporter::quiet())
@@ -160,11 +164,13 @@ proptest! {
             circuits.reverse();
         }
         let config = McConfig {
-            samples,
-            seed,
-            defect_rate,
-            stream: if v2 { SampleStream::V2 } else { SampleStream::V1 },
-            model: model(kind, cluster, lines),
+            campaign: Campaign {
+                samples,
+                seed,
+                defect_rate,
+                stream: if v2 { SampleStream::V2 } else { SampleStream::V1 },
+                model: model(kind, cluster, lines),
+            },
             circuits,
         };
         let exp = find_experiment("table2").expect("registered");

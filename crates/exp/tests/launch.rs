@@ -10,7 +10,7 @@ use std::process::{Command, Output};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use xbar_core::{DefectModelSpec, SampleStream};
+use xbar_core::Campaign;
 use xbar_exp::experiments::table2::CircuitAccum;
 use xbar_exp::launch::{
     merge_host_groups, parse_hosts, run_launch_with_report, Exec, FaultPlan, Faulty, LaunchConfig,
@@ -25,11 +25,10 @@ use xbar_exp::shard::{McConfig, ShardSpec};
 
 fn campaign() -> McConfig {
     McConfig {
-        samples: 30,
-        seed: 2018,
-        defect_rate: 0.10,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
+        campaign: Campaign {
+            samples: 30,
+            ..Campaign::default()
+        },
         circuits: vec!["rd53".to_owned()],
     }
 }
@@ -250,11 +249,9 @@ fn fold(experiment_seed: u64, range: std::ops::Range<usize>) -> CircuitAccum {
 }
 
 fn synthetic_partials(samples: usize, shards: usize, seed: u64) -> (McConfig, Vec<ShardPartial>) {
-    let config = McConfig {
-        samples,
-        seed,
-        ..campaign()
-    };
+    let mut config = campaign();
+    config.campaign.samples = samples;
+    config.campaign.seed = seed;
     let partials = ShardSpec::partition(samples, shards)
         .into_iter()
         .map(|spec| ShardPartial {

@@ -10,7 +10,7 @@ use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
-use xbar_core::{DefectModelSpec, SampleStream};
+use xbar_core::Campaign;
 use xbar_exp::experiment::{find_experiment, Params};
 use xbar_exp::service::cache_key;
 use xbar_exp::shard::coordinator::campaign_run_dir;
@@ -331,11 +331,12 @@ fn daemon_killed_mid_job_resumes_from_checkpoints_after_restart() {
     .expect("parses");
     let key = cache_key(exp, &params);
     let config = McConfig {
-        samples: 30,
-        seed: params.seed,
-        defect_rate: params.defect_rate,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
+        campaign: Campaign {
+            samples: 30,
+            seed: params.campaign.seed,
+            defect_rate: params.campaign.defect_rate,
+            ..Campaign::default()
+        },
         circuits: vec!["rd53".to_owned()],
     };
     let job_dir = work_dir.join("jobs").join(&key.name);
@@ -519,11 +520,12 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
     .expect("parses");
     let key = cache_key(exp, &params);
     let config = McConfig {
-        samples: 30,
-        seed: params.seed,
-        defect_rate: params.defect_rate,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
+        campaign: Campaign {
+            samples: 30,
+            seed: params.campaign.seed,
+            defect_rate: params.campaign.defect_rate,
+            ..Campaign::default()
+        },
         circuits: vec!["rd53".to_owned()],
     };
     let job_dir = work_dir.join("jobs").join(&key.name);

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
+use xbar_core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_exp::launch::pool::DEFAULT_PROBATION;
 use xbar_exp::launch::{
     run_launch_with_report, FaultPlan, Faulty, HostSpec, LaunchConfig, LocalProc,
@@ -27,11 +27,10 @@ fn worker_binary() -> Worker {
 
 fn campaign() -> McConfig {
     McConfig {
-        samples: 30,
-        seed: 2018,
-        defect_rate: 0.10,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
+        campaign: Campaign {
+            samples: 30,
+            ..Campaign::default()
+        },
         circuits: vec!["rd53".to_owned()],
     }
 }
@@ -98,10 +97,8 @@ fn v2_campaigns_shard_byte_identically_too() {
     // the coordinator forwards `--rng-stream v2` to every worker, partials
     // echo it, and the merged artifact is byte-identical to the
     // monolithic V2 run (which differs from the V1 artifact by design).
-    let config = McConfig {
-        stream: SampleStream::V2,
-        ..campaign()
-    };
+    let mut config = campaign();
+    config.campaign.stream = SampleStream::V2;
     let mono = render_stats_json(&run_monolithic(&config));
     assert!(
         mono.contains("\"rng_stream\": \"v2\""),
@@ -124,10 +121,8 @@ fn clustered_campaigns_shard_byte_identically_through_real_workers() {
     // partials echo the model, and the 3-shard merge is byte-identical to
     // the monolithic clustered run.
     let model = DefectModelSpec::new(DefectModelKind::Clustered, 3.0, 0.02).expect("valid spec");
-    let config = McConfig {
-        model,
-        ..campaign()
-    };
+    let mut config = campaign();
+    config.campaign.model = model;
     let mono = render_stats_json(&run_monolithic(&config));
     assert!(
         mono.contains("\"defect_model\": \"clustered\""),
@@ -157,10 +152,8 @@ fn clustered_campaigns_shard_byte_identically_through_real_workers() {
 fn empty_shards_need_no_workers_and_merge_cleanly() {
     // 7 shards over 4 samples: 3 shards are empty and must be synthesized
     // without spawning processes, with the artifact still byte-identical.
-    let config = McConfig {
-        samples: 4,
-        ..campaign()
-    };
+    let mut config = campaign();
+    config.campaign.samples = 4;
     let mono = render_stats_json(&run_monolithic(&config));
     let mut cfg = coordinator("empty-shards", 7);
     cfg.config = config;
@@ -232,10 +225,8 @@ fn inflight_workers_never_exceed_max_inflight() {
     // workers themselves record how many live-markers exist while they
     // run (`--inject-concurrency-dir`), so the bound is asserted from
     // inside the fleet, not from the coordinator's bookkeeping alone.
-    let config = McConfig {
-        samples: 10,
-        ..campaign()
-    };
+    let mut config = campaign();
+    config.campaign.samples = 10;
     let mono = render_stats_json(&run_monolithic(&config));
     let mut cfg = coordinator("inflight", 5);
     cfg.config = config;
@@ -494,7 +485,7 @@ fn a_run_dir_claimed_by_a_different_campaign_is_rejected() {
     let _ = run_local(&cfg).expect("first campaign");
 
     let mut other = coordinator("campaign-clash", 2);
-    other.config.defect_rate = 0.25;
+    other.config.campaign.defect_rate = 0.25;
     let err = run_local(&other).expect_err("must refuse");
     assert!(err.contains("different campaign"), "{err}");
     assert!(err.contains("defect_rate"), "{err}");

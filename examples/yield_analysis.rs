@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example yield_analysis`.
 
 use memristive_xbar_repro::core::{
-    estimate_yield, redundancy_sweep, FunctionMatrix, MapperKind, SampleStream, YieldConfig,
+    estimate_yield, redundancy_sweep, Campaign, FunctionMatrix, MapperKind, YieldConfig,
 };
 use memristive_xbar_repro::logic::bench_reg::find;
 
@@ -21,14 +21,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let base = YieldConfig {
-        defect_rate: 0.15,
-        stuck_closed_fraction: 0.0,
-        spare_rows: 0,
-        samples: 300,
+        campaign: Campaign {
+            samples: 300,
+            seed: 99,
+            defect_rate: 0.15,
+            ..Campaign::default()
+        },
         mapper: MapperKind::Hybrid,
-        seed: 99,
-        stream: SampleStream::V1,
-        model: xbar_core::DefectModelSpec::default(),
+        spare_rows: 0,
+        stuck_closed_fraction: 0.0,
     };
 
     println!("\nstuck-open only, 15% defect rate (HBA):");
@@ -47,11 +48,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let result = estimate_yield(
             &fm,
             &YieldConfig {
-                defect_rate: 0.08,
-                stuck_closed_fraction: 0.25,
-                spare_rows: spare,
+                campaign: Campaign {
+                    defect_rate: 0.08,
+                    ..base.campaign
+                },
                 mapper: MapperKind::Exact,
-                ..base
+                spare_rows: spare,
+                stuck_closed_fraction: 0.25,
             },
         );
         println!("    {spare:>3}    |   {:>5.1}", result.success_rate * 100.0);

@@ -5,9 +5,9 @@
 //! byte-identity guarantee) — if either changes, these tests must be
 //! updated *deliberately*, never silently.
 
-use memristive_xbar_repro::core::{DefectModelKind, DefectModelSpec, SampleStream};
+use memristive_xbar_repro::core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 use memristive_xbar_repro::exp::experiments::table2::{mc_seed, run_circuit, run_circuit_range};
-use memristive_xbar_repro::exp::{sample_seed, ExpArgs};
+use memristive_xbar_repro::exp::sample_seed;
 use memristive_xbar_repro::logic::bench_reg::find;
 
 #[test]
@@ -34,21 +34,21 @@ fn seeded_table2_rd53_row_is_pinned() {
     // rd53, 40 samples, seed 5, 10% stuck-open defects: the exact success
     // counts (integers — deterministic regardless of threading, sharding,
     // or machine).
-    let args = ExpArgs {
+    let campaign = Campaign {
         samples: 40,
         seed: 5,
         defect_rate: 0.10,
         stream: SampleStream::V1,
-        ..ExpArgs::default()
+        ..Campaign::default()
     };
     let info = find("rd53").expect("registered");
-    let accum = run_circuit_range(info, &args, 0..40);
+    let accum = run_circuit_range(info, &campaign, 0..40);
     assert_eq!(accum.hba.samples, 40);
     assert_eq!(accum.hba.successes, 34, "HBA successes drifted");
     assert_eq!(accum.ea.successes, 39, "EA successes drifted");
 
     // The derived report row carries the exact same ratios.
-    let row = run_circuit(info, &args);
+    let row = run_circuit(info, &campaign);
     assert_eq!(row.hba_success, 34.0 / 40.0);
     assert_eq!(row.ea_success, 39.0 / 40.0);
     assert_eq!(row.area, 544);
@@ -60,23 +60,23 @@ fn seeded_table2_rd53_row_is_pinned() {
 /// here means the V2 RNG consumption contract broke.
 #[test]
 fn seeded_table2_v2_rows_are_pinned() {
-    let args = ExpArgs {
+    let campaign = Campaign {
         samples: 40,
         seed: 5,
         defect_rate: 0.10,
         stream: SampleStream::V2,
-        ..ExpArgs::default()
+        ..Campaign::default()
     };
-    let accum = run_circuit_range(find("rd53").expect("registered"), &args, 0..40);
+    let accum = run_circuit_range(find("rd53").expect("registered"), &campaign, 0..40);
     assert_eq!(accum.hba.successes, 35, "V2 HBA successes drifted");
     assert_eq!(accum.ea.successes, 36, "V2 EA successes drifted");
 
-    let args = ExpArgs {
+    let campaign = Campaign {
         samples: 60,
         seed: 2018,
-        ..args
+        ..campaign
     };
-    let accum = run_circuit_range(find("misex1").expect("registered"), &args, 0..60);
+    let accum = run_circuit_range(find("misex1").expect("registered"), &campaign, 0..60);
     assert_eq!(accum.hba.successes, 59, "V2 HBA successes drifted");
     assert_eq!(accum.ea.successes, 60, "V2 EA successes drifted");
 }
@@ -94,7 +94,7 @@ fn seeded_table2_model_rows_are_pinned() {
         (DefectModelKind::Lines, 13, 13),
         (DefectModelKind::Composite, 1, 1),
     ] {
-        let args = ExpArgs {
+        let campaign = Campaign {
             samples: 40,
             seed: 5,
             defect_rate: 0.10,
@@ -105,9 +105,8 @@ fn seeded_table2_model_rows_are_pinned() {
                 DefectModelSpec::DEFAULT_LINE_RATE,
             )
             .expect("defaults are valid"),
-            ..ExpArgs::default()
         };
-        let accum = run_circuit_range(info, &args, 0..40);
+        let accum = run_circuit_range(info, &campaign, 0..40);
         assert_eq!(accum.hba.samples, 40);
         assert_eq!(accum.hba.successes, hba, "{kind}: HBA successes drifted");
         assert_eq!(accum.ea.successes, ea, "{kind}: EA successes drifted");
@@ -118,14 +117,14 @@ fn seeded_table2_model_rows_are_pinned() {
 fn seeded_table2_misex1_summary_is_pinned() {
     // misex1 at the paper's default seed: published 100%/100% at 10%
     // defects, and our seeded run reproduces it exactly.
-    let args = ExpArgs {
+    let campaign = Campaign {
         samples: 60,
         seed: 2018,
         defect_rate: 0.10,
         stream: SampleStream::V1,
-        ..ExpArgs::default()
+        ..Campaign::default()
     };
-    let accum = run_circuit_range(find("misex1").expect("registered"), &args, 0..60);
+    let accum = run_circuit_range(find("misex1").expect("registered"), &campaign, 0..60);
     assert_eq!(accum.hba.successes, 60);
     assert_eq!(accum.ea.successes, 60);
 }

@@ -6,7 +6,7 @@
 //! files must round-trip all accumulator state bit-exactly.
 
 use memristive_xbar_repro::core::stats::Moments;
-use memristive_xbar_repro::core::{DefectModelKind, DefectModelSpec, SampleStream};
+use memristive_xbar_repro::core::{Campaign, DefectModelKind, DefectModelSpec, SampleStream};
 use memristive_xbar_repro::exp::experiments::table2::CircuitAccum;
 use memristive_xbar_repro::exp::shard::coordinator::{
     merge_partials, render_stats_json, MergedResult,
@@ -63,9 +63,13 @@ proptest! {
     /// fold: integer statistics exactly, the stats artifact byte for
     /// byte, and partial files round-trip every accumulator field
     /// bit-exactly along the way.
+    ///
+    /// A campaign has at least one sample (`Campaign::validate`), and the
+    /// partial reader rejects one that has none, so sample counts start
+    /// at 1; more shards than samples still leaves empty shards.
     #[test]
     fn sharded_accumulators_merge_to_the_monolithic_statistics(
-        samples in 0usize..150,
+        samples in 1usize..150,
         shards in 1usize..10,
         seed in 0u64..u64::MAX,
         defect_bits in 1u64..1000,
@@ -85,11 +89,13 @@ proptest! {
             f64::from(line_millis) / 1000.0,
         ).expect("in-range parameters");
         let config = McConfig {
-            samples,
-            seed,
-            defect_rate: defect_bits as f64 / 1000.0,
-            stream: SampleStream::ALL[stream_idx],
-            model,
+            campaign: Campaign {
+                samples,
+                seed,
+                defect_rate: defect_bits as f64 / 1000.0,
+                stream: SampleStream::ALL[stream_idx],
+                model,
+            },
             circuits: vec!["synthetic".to_owned()],
         };
         let mono = fold(seed, 0..samples);
