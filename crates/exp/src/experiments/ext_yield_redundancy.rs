@@ -7,10 +7,14 @@
 //! 2. mixed defects: spare rows do NOT recover stuck-closed losses (each
 //!    extra row adds column-kill probability), quantifying why the paper
 //!    calls for dedicated redundancy for stuck-at-closed defects.
+//!
+//! The mixed sweep draws device-level i.i.d. cells, so the experiment
+//! takes no spatial `--defect-model`: its artifact never names a model
+//! it did not sample.
 
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
-    Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
+    Reporter, RNG_STREAM_PARAM,
 };
 use crate::shard::json::Json;
 use crate::table::{pct, Table};
@@ -29,9 +33,6 @@ const EXT_A_PARAMS: &[ParamSpec] = &[
         "registry circuit whose function matrix is swept",
     ),
     RNG_STREAM_PARAM,
-    DEFECT_MODEL_PARAM,
-    CLUSTER_SIZE_PARAM,
-    LINE_RATE_PARAM,
 ];
 
 /// One sweep cell: `(spare_rows, successes, samples)`.

@@ -222,8 +222,8 @@ const LAUNCH: FrontEnd = FrontEnd {
     command: "mc launch",
     about: "xbar mc launch: fault-tolerant multi-host Monte Carlo dispatch\n\n\
             Shards the campaign over a fleet, streams partials back over a\n\
-            transport, and merges through a per-host tree. The merged output is\n\
-            byte-identical to a monolithic run under every tolerated fault.",
+            transport, and merges them flat. The merged output is byte-identical\n\
+            to a monolithic run under every tolerated fault.",
     sections: &[
         CAMPAIGN_SECTIONS[0],
         CAMPAIGN_SECTIONS[1],
@@ -308,9 +308,10 @@ fn write_canonical_artifact(
 }
 
 /// `xbar mc launch`: shards a campaign over a fleet of hosts, merges the
-/// streamed partials through the two-level tree, and writes the merged
-/// stats artifact (plus, with `--artifact`, the canonical experiment
-/// document). Returns the process exit code.
+/// streamed partials flat
+/// ([`merge_partials`](crate::shard::coordinator::merge_partials)), and
+/// writes the merged stats artifact (plus, with `--artifact`, the
+/// canonical experiment document). Returns the process exit code.
 #[must_use]
 pub fn launch_main(argv: Vec<String>) -> i32 {
     let launch = match LAUNCH.parse(argv, launch_args) {

@@ -19,9 +19,9 @@
 //!   → quarantined → timed probation) and in-flight slot bounds;
 //! * [`scheduler`] — the event loop: dispatch, watchdog deadlines,
 //!   backoff retries, hedged re-dispatch of stragglers, torn-transfer
-//!   detection on every returned stream;
-//! * [`merge`] — the two-level merge tree (per-host pre-merge, root
-//!   merge), byte-identical to the flat merge by construction;
+//!   detection on every returned stream, and the flat
+//!   [`merge_partials`] merge of the winners (per-host attribution
+//!   comes from the pool's counters, not from the merge);
 //! * [`cli`] — `xbar mc launch`, plus the runner flags it shares with
 //!   `xbar mc coordinate`.
 //!
@@ -32,14 +32,31 @@
 //! duplicated hedge partials.
 
 pub mod cli;
-pub mod merge;
 pub mod pool;
 pub mod scheduler;
 pub mod transport;
 
-pub use merge::merge_host_groups;
 pub use pool::{parse_hosts, HostCount, HostHealth, HostPool, HostSpec};
 pub use scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 pub use transport::{
     with_faults, Exec, FaultKind, FaultPlan, Faulty, Flight, LocalProc, Transport, WorkerJob,
 };
+
+use crate::shard::coordinator::{merge_partials, MergedResult};
+use crate::shard::partial::ShardPartial;
+use crate::shard::McConfig;
+
+/// The flat [`merge_partials`] merge, for callers written against the
+/// earlier per-host merge: the host names are ignored.
+///
+/// # Errors
+///
+/// Exactly those of [`merge_partials`].
+#[doc(hidden)]
+pub fn merge_host_groups(
+    config: &McConfig,
+    assigned: &[(String, ShardPartial)],
+) -> Result<MergedResult, String> {
+    let partials: Vec<ShardPartial> = assigned.iter().map(|(_, p)| p.clone()).collect();
+    merge_partials(config, &partials)
+}

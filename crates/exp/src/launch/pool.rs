@@ -22,8 +22,7 @@ pub const DEFAULT_PROBATION: Duration = Duration::from_secs(30);
 /// to fail over to.
 pub const NEVER_QUARANTINE: usize = usize::MAX;
 
-/// The host name of the local machine: the one host of `local*N` fleets,
-/// and the attribution of shards reused from checkpoints.
+/// The host name of the local machine: the one host of `local*N` fleets.
 pub(crate) const LOCAL_HOST: &str = "local";
 
 /// One host of the fleet: a name (opaque to the launcher — the transport

@@ -18,17 +18,21 @@
 //!   a *different* host — first valid partial wins, the loser is
 //!   cancelled and discarded (the exact-tiling merge validation would
 //!   reject its duplicate anyway).
+//!
+//! The winners are merged flat with [`merge_partials`]: the statistics
+//! are integer counts, so no grouping of the partials could change a
+//! byte. Per-host attribution comes from the pool's counters
+//! ([`HostPool::counts`]), not from the merge.
 
-use super::merge::merge_host_groups;
 use super::pool::{
     HostCount, HostHealth, HostPool, HostSpec, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER,
-    LOCAL_HOST, NEVER_QUARANTINE,
+    NEVER_QUARANTINE,
 };
 use super::transport::{Transport, WorkerJob};
 use crate::experiments::table2::CircuitAccum;
 use crate::shard::coordinator::{
-    backoff_delay, campaign_run_dir, default_work_dir, partial_path, preflight_run_dir,
-    MergedResult, RunReport, Worker, DEFAULT_RETRY_BASE,
+    backoff_delay, campaign_run_dir, default_work_dir, merge_partials, partial_path,
+    preflight_run_dir, MergedResult, RunReport, Worker, DEFAULT_RETRY_BASE,
 };
 use crate::shard::partial::ShardPartial;
 use crate::shard::{McConfig, ShardSpec};
@@ -166,8 +170,8 @@ struct Launcher<'a> {
     pool: HostPool,
     queue: VecDeque<QueueItem>,
     flights: Vec<FlightSlot>,
-    /// Winner per shard: `(host name, validated partial)`.
-    partials: Vec<Option<(String, ShardPartial)>>,
+    /// The validated winning partial per shard.
+    partials: Vec<Option<ShardPartial>>,
     report: LaunchReport,
     permanent: Vec<usize>,
     last_error: String,
@@ -314,13 +318,10 @@ impl Launcher<'_> {
                 // `--resume` (and the service restart flow) can reuse it.
                 let path = partial_path(&self.run_dir, slot.spec.index);
                 if let Err(e) = crate::atomic::write_atomic(&path, text.as_bytes()) {
-                    eprintln!(
-                        "mc launch: cannot checkpoint {}: {e} (continuing)",
-                        path.display()
-                    );
+                    eprintln!("mc: cannot checkpoint {}: {e} (continuing)", path.display());
                 }
                 self.pool.note_success(slot.host);
-                self.partials[slot.spec.index] = Some((host_name, partial));
+                self.partials[slot.spec.index] = Some(partial);
                 self.cancel_siblings(slot.spec.index);
             }
             Err(e) => {
@@ -329,7 +330,7 @@ impl Launcher<'_> {
                     // A sibling is still flying: charge the host, let the
                     // sibling decide the shard's fate.
                     eprintln!(
-                        "mc launch: shard {} ({}): {e}",
+                        "mc: shard {} ({}): {e}",
                         slot.spec.index,
                         if slot.hedged { "hedge" } else { "primary" }
                     );
@@ -372,7 +373,7 @@ impl Launcher<'_> {
                     // The shard is covered elsewhere; the hung flight
                     // costs only the host that stalled it.
                     eprintln!(
-                        "mc launch: shard {} straggler on {} hit the {timeout:?} watchdog \
+                        "mc: shard {} straggler on {} hit the {timeout:?} watchdog \
                          deadline; flight killed",
                         slot.spec.index,
                         self.pool.name(slot.host)
@@ -422,7 +423,7 @@ impl Launcher<'_> {
                 self.report.hedges += 1;
                 progressed = true;
                 eprintln!(
-                    "mc launch: shard {} straggling on {} — hedged onto {}",
+                    "mc: shard {} straggling on {} — hedged onto {}",
                     spec.index,
                     self.pool.name(straggler_host),
                     self.pool.name(other)
@@ -523,26 +524,23 @@ pub fn run_launch_with_report(
     for spec in specs {
         if spec.is_empty() {
             // Empty shards (more shards than samples) need no dispatch.
-            launcher.partials[spec.index] = Some((
-                LOCAL_HOST.to_owned(),
-                ShardPartial {
-                    config: cfg.config.clone(),
-                    spec,
-                    circuits: cfg
-                        .config
-                        .circuits
-                        .iter()
-                        .map(|name| (name.clone(), CircuitAccum::new()))
-                        .collect(),
-                },
-            ));
+            launcher.partials[spec.index] = Some(ShardPartial {
+                config: cfg.config.clone(),
+                spec,
+                circuits: cfg
+                    .config
+                    .circuits
+                    .iter()
+                    .map(|name| (name.clone(), CircuitAccum::new()))
+                    .collect(),
+            });
         } else {
             if cfg.resume {
                 let path = partial_path(&run_dir, spec.index);
                 if let Ok(text) = fs::read_to_string(&path) {
                     if let Ok(partial) = ShardPartial::from_json(&text) {
                         if partial.validate_for(&cfg.config, &spec).is_ok() {
-                            launcher.partials[spec.index] = Some((LOCAL_HOST.to_owned(), partial));
+                            launcher.partials[spec.index] = Some(partial);
                             launcher.report.base.reused += 1;
                             continue;
                         }
@@ -587,8 +585,7 @@ pub fn run_launch_with_report(
 
     launcher.report.hosts = launcher.pool.counts();
     let report = launcher.report;
-    let assigned = take_collected(launcher.partials)?;
-    let merged = merge_host_groups(&cfg.config, &assigned)?;
+    let merged = merge_partials(&cfg.config, &take_collected(launcher.partials)?)?;
     if !cfg.keep_partials {
         // Only the run directory belongs to the runner; the caller's
         // work dir stays (it may hold the caller's `--out`).
@@ -605,9 +602,7 @@ pub fn run_launch_with_report(
 /// Turns the runner's `Option`-slotted winners into the merge input,
 /// surfacing a scheduling bug as an error (exit 1 with a message at the
 /// CLI) instead of an unwrap panic.
-fn take_collected(
-    partials: Vec<Option<(String, ShardPartial)>>,
-) -> Result<Vec<(String, ShardPartial)>, String> {
+fn take_collected(partials: Vec<Option<ShardPartial>>) -> Result<Vec<ShardPartial>, String> {
     partials
         .into_iter()
         .enumerate()

@@ -14,8 +14,7 @@
 //!   [`launch::scheduler`]): `coordinate` runs it on the local fleet
 //!   `local*N`, `launch` on any fleet through a pluggable transport
 //!   (local subprocesses or an `ssh`-style command template) with
-//!   per-host health tracking, hedged re-dispatch of stragglers, and a
-//!   two-level merge tree;
+//!   per-host health tracking and hedged re-dispatch of stragglers;
 //! * `xbar serve` / `xbar submit` — the yield-oracle service: a queued,
 //!   cache-fronted daemon over the same runner, speaking
 //!   newline-delimited JSON (`xbar-svc/1`) on a TCP socket — see

@@ -17,8 +17,9 @@
 //! * **Backoff** — [`backoff_delay`] is exponential growth plus jitter
 //!   that is a pure function of `(seed, shard, attempt)`, so retry
 //!   schedules are reproducible — no wall-clock RNG.
-//! * **Merge** — [`merge_partials`] validates that partials belong to the
-//!   campaign and tile its sample range exactly.
+//! * **Merge** — [`merge_partials`], the one merge every runner uses,
+//!   validates that partials belong to the campaign and tile its sample
+//!   range exactly, then folds them flat.
 //!
 //! The merged **stats artifact** ([`render_stats_json`]) contains only
 //! integer-derived statistics, so it is byte-identical across shard
@@ -174,12 +175,14 @@ pub fn run_monolithic(config: &McConfig) -> MergedResult {
 /// and tile its sample range exactly.
 ///
 /// Partials are merged in ascending `start` order, so the merge is
-/// deterministic for a given shard layout.
+/// deterministic for a given shard layout; the statistics are integer
+/// counts, so any input order gives the same stats bytes.
 ///
 /// # Errors
 ///
 /// Rejects configuration mismatches, overlapping or missing sample
-/// ranges, and circuit-list disagreements.
+/// ranges (a duplicated shard, such as a hedge loser's partial, cannot
+/// tile), and circuit-list disagreements.
 pub fn merge_partials(
     config: &McConfig,
     partials: &[ShardPartial],
@@ -188,9 +191,27 @@ pub fn merge_partials(
     ordered.sort_by_key(|p| p.spec.start);
 
     for partial in &ordered {
-        validate_partial_for_merge(config, partial)?;
+        partial
+            .validate_for(config, &partial.spec)
+            .map_err(|e| format!("shard {}: {e}", partial.spec.index))?;
     }
-    check_exact_tiling(config.samples, &ordered)?;
+    let mut cursor = 0usize;
+    for partial in &ordered {
+        if partial.spec.start != cursor {
+            return Err(format!(
+                "sample range not tiled: expected a shard starting at {cursor}, \
+                 found shard {} starting at {}",
+                partial.spec.index, partial.spec.start
+            ));
+        }
+        cursor = partial.spec.end;
+    }
+    if cursor != config.samples {
+        return Err(format!(
+            "sample range not covered: shards end at {cursor}, campaign has {} samples",
+            config.samples
+        ));
+    }
 
     let mut circuits: Vec<(String, CircuitAccum)> = config
         .circuits
@@ -206,43 +227,6 @@ pub fn merge_partials(
         config: config.clone(),
         circuits,
     })
-}
-
-/// Validates one partial against the campaign it claims to belong to:
-/// configuration echo, circuit-name order, and folded sample counts equal
-/// to the claimed slice. Shared between the flat [`merge_partials`] merge
-/// and the launcher's two-level per-host merge tree, so both reject torn
-/// or foreign partials with identical messages.
-pub(crate) fn validate_partial_for_merge(
-    config: &McConfig,
-    partial: &ShardPartial,
-) -> Result<(), String> {
-    partial
-        .validate_for(config, &partial.spec)
-        .map_err(|e| format!("shard {}: {e}", partial.spec.index))
-}
-
-/// Checks that `ordered` (ascending by `start`) tiles `0..samples`
-/// exactly: no gap, no overlap, full coverage. A duplicated shard (a
-/// hedge loser whose partial leaked into the merge input) fails here.
-pub(crate) fn check_exact_tiling(samples: usize, ordered: &[&ShardPartial]) -> Result<(), String> {
-    let mut cursor = 0usize;
-    for partial in ordered {
-        if partial.spec.start != cursor {
-            return Err(format!(
-                "sample range not tiled: expected a shard starting at {cursor}, \
-                 found shard {} starting at {}",
-                partial.spec.index, partial.spec.start
-            ));
-        }
-        cursor = partial.spec.end;
-    }
-    if cursor != samples {
-        return Err(format!(
-            "sample range not covered: shards end at {cursor}, campaign has {samples} samples"
-        ));
-    }
-    Ok(())
 }
 
 pub(crate) fn partial_path(run_dir: &Path, index: usize) -> PathBuf {

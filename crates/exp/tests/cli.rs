@@ -478,6 +478,8 @@ fn usage_problems_exit_2_with_help_not_a_backtrace() {
         &["mc", "coordinate", "--samples", "0"][..],
         &["mc", "coordinate", "--circuits", "rd53,rd53"][..],
         &["mc", "shard", "--defect-rate", "-0.5"][..],
+        // Its stuck-closed sweep samples i.i.d. cells whatever the model.
+        &["run", "ext_yield_redundancy", "--defect-model", "clustered"][..],
     ] {
         let out = xbar(args);
         assert_eq!(

@@ -1,8 +1,8 @@
 //! Process-level and property tests of the multi-host launcher: remote
 //! dispatch over `Transport` implementations with injected faults
 //! (torn streams, host death, stalls), host-health quarantine, hedged
-//! straggler re-dispatch, and the two-level merge tree — all pinned to
-//! one invariant: the merged stats artifact is byte-identical to the
+//! straggler re-dispatch, and the flat merge of the winners — all pinned
+//! to one invariant: the merged stats artifact is byte-identical to the
 //! monolithic in-process run, whatever the fleet did.
 
 use std::path::PathBuf;
@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use xbar_core::Campaign;
 use xbar_exp::experiments::table2::CircuitAccum;
 use xbar_exp::launch::{
-    merge_host_groups, parse_hosts, run_launch_with_report, Exec, FaultPlan, Faulty, LaunchConfig,
-    LaunchReport, LocalProc,
+    parse_hosts, run_launch_with_report, Exec, FaultPlan, Faulty, LaunchConfig, LaunchReport,
+    LocalProc,
 };
 use xbar_exp::sample_seed;
 use xbar_exp::shard::coordinator::{
@@ -224,7 +224,7 @@ fn host_spec_grammar_parses_slots_and_rejects_degenerate_fleets() {
 }
 
 // ---------------------------------------------------------------------
-// Properties: the two-level merge tree and torn-transfer detection.
+// Properties: the flat merge and torn-transfer detection.
 // ---------------------------------------------------------------------
 
 /// Deterministic synthetic observation for global sample `i` (a pure
@@ -266,25 +266,36 @@ fn synthetic_partials(samples: usize, shards: usize, seed: u64) -> (McConfig, Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The per-host pre-merge tree is byte-identical to the flat merge
-    /// for any sample count, shard count, and host assignment — the
-    /// property that makes host attribution free of artifact risk.
+    /// The runner merges its winners in whatever order they landed, so
+    /// the flat merge must give the same stats bytes for any permutation
+    /// of its input — and a partial duplicated anywhere in the input (a
+    /// hedge loser's copy) must be rejected, since two partials for one
+    /// slice cannot tile the campaign range.
     #[test]
-    fn two_level_merge_is_byte_identical_to_flat_for_any_assignment(
+    fn flat_merge_is_order_free_and_rejects_any_duplicate(
         samples in 12usize..120,
         shards in 1usize..12,
         seed in 0u64..u64::MAX,
-        assignment in prop::collection::vec(0usize..4, 12),
+        keys in prop::collection::vec(0u64..u64::MAX, 12),
+        dup_choice in 0usize..1_000,
+        pos_choice in 0usize..1_000,
     ) {
         let (config, partials) = synthetic_partials(samples, shards, seed);
-        let flat: MergedResult = merge_partials(&config, &partials).expect("flat merge");
-        let assigned: Vec<(String, ShardPartial)> = partials
+        let in_order: MergedResult = merge_partials(&config, &partials).expect("merges");
+        let mut shuffled: Vec<(u64, ShardPartial)> = partials
             .iter()
             .enumerate()
-            .map(|(i, p)| (format!("host{}", assignment[i % assignment.len()]), p.clone()))
+            .map(|(i, p)| (keys[i % keys.len()], p.clone()))
             .collect();
-        let tree = merge_host_groups(&config, &assigned).expect("tree merge");
-        prop_assert_eq!(render_stats_json(&tree), render_stats_json(&flat));
+        shuffled.sort_by_key(|(key, _)| *key);
+        let mut shuffled: Vec<ShardPartial> = shuffled.into_iter().map(|(_, p)| p).collect();
+        let merged = merge_partials(&config, &shuffled).expect("a permutation merges");
+        prop_assert_eq!(render_stats_json(&merged), render_stats_json(&in_order));
+
+        let duplicate = shuffled[dup_choice % shuffled.len()].clone();
+        shuffled.insert(pos_choice % (shuffled.len() + 1), duplicate);
+        let err = merge_partials(&config, &shuffled).expect_err("a duplicate must not merge");
+        prop_assert!(err.contains("not tiled"), "{}", err);
     }
 
     /// Every strict prefix of a partial document (the torn-transfer

@@ -578,11 +578,12 @@ fn one_host_fleet_never_quarantines_its_only_host() {
         .expect("spawn xbar");
     let elapsed = start.elapsed();
     let stdout = String::from_utf8_lossy(&run.stdout);
-    assert!(
-        run.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&run.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{stdout}\n{stderr}");
+    // The runner serves `mc coordinate` too: its lines say `mc:`, never
+    // `mc launch:`.
+    assert!(stderr.contains("mc: shard"), "{stderr}");
+    assert!(!stderr.contains("mc launch:"), "{stderr}");
     assert!(
         elapsed < DEFAULT_PROBATION / 2,
         "three straight failures must not sit out a probation: {elapsed:?}"

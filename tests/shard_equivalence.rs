@@ -146,8 +146,8 @@ proptest! {
         );
     }
 
-    /// Welford merge is associative enough for re-merging merged shards
-    /// (a two-level coordinator tree): integer stats stay exact.
+    /// Welford merge is associative enough for re-merging accumulators
+    /// that are themselves merges of shards: integer stats stay exact.
     #[test]
     fn two_level_merges_keep_integer_stats_exact(
         samples in 1usize..120,
